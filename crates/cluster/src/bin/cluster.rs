@@ -14,14 +14,14 @@
 //! hbc-cluster drain       --addr HOST:PORT
 //! ```
 //!
-//! `worker` serves the binary wire protocol and embeds the full
-//! `hbc-serve` result stack (one cache shard per worker — point each
-//! worker at its own `--cache-dir`). `coordinator` speaks the `hbc-serve`
-//! HTTP API and routes to workers by rendezvous hashing with failover.
-//! `health`, `stats`, and `drain` are one-shot wire clients for scripts
-//! and CI.
+//! `worker` serves the binary wire protocol over `hbc-serve`'s local run
+//! path (one cache shard per worker — point each at its own
+//! `--cache-dir`). `coordinator` runs `hbc-serve`'s HTTP front end and
+//! routes to workers by rendezvous hashing, failing over from dead ones;
+//! `--wire-timeout-ms` bounds a forward's connect and write, and the
+//! reply is awaited until `--timeout-ms`. `health`, `stats`, and `drain`
+//! are one-shot wire clients for scripts and CI.
 
-use std::net::TcpStream;
 use std::time::Duration;
 
 use hbc_cluster::coordinator::{Coordinator, CoordinatorConfig};
@@ -147,8 +147,8 @@ fn wire_op(args: &[String], op: &str) {
         "stats" => Msg::Stats,
         _ => Msg::Drain,
     };
-    let reply =
-        exchange(&addr, &msg).unwrap_or_else(|e| fail(&format!("{op} against {addr} failed: {e}")));
+    let reply = wire::exchange(&addr, &msg, Duration::from_secs(5))
+        .unwrap_or_else(|e| fail(&format!("{op} against {addr} failed: {e}")));
     match reply {
         Msg::HealthOk { worker_id, draining } => {
             println!("worker {worker_id}: {}", if draining { "draining" } else { "healthy" });
@@ -164,17 +164,6 @@ fn wire_op(args: &[String], op: &str) {
         Msg::DrainOk { worker_id } => println!("worker {worker_id}: draining"),
         other => fail(&format!("{op} against {addr}: unexpected reply {other:?}")),
     }
-}
-
-fn exchange(addr: &str, msg: &Msg) -> Result<Msg, String> {
-    let parsed: std::net::SocketAddr = addr.parse().map_err(|_| format!("bad address `{addr}`"))?;
-    let budget = Duration::from_secs(5);
-    let mut stream =
-        TcpStream::connect_timeout(&parsed, budget).map_err(|e| format!("connect: {e}"))?;
-    stream.set_read_timeout(Some(budget)).map_err(|e| e.to_string())?;
-    stream.set_write_timeout(Some(budget)).map_err(|e| e.to_string())?;
-    wire::write_msg(&mut stream, msg).map_err(|e| e.to_string())?;
-    wire::read_msg(&mut stream).map_err(|e| e.to_string())
 }
 
 fn parse<T: std::str::FromStr>(value: &str, flag: &str) -> T {

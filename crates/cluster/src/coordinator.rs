@@ -1,55 +1,45 @@
-//! The cluster coordinator: an HTTP front door speaking the exact
-//! `hbc-serve` API, fanning out to worker processes over the binary wire
-//! protocol.
-//!
-//! ```text
-//!            accept          bounded queue           handler pool
-//!  clients ─────────▶ acceptor ─────────────▶ handlers ── route ──▶ worker (wire)
-//!                        │ queue full / draining          │ transport failure
-//!                        ▼                                ▼
-//!                   429 / 503                    mark unhealthy, failover
-//!                                                to the next candidate
-//! ```
+//! The cluster coordinator: the shared `hbc-serve` HTTP
+//! [`frontend`](hbc_serve::frontend) (families named `cluster_*`) in
+//! front of a `ClusterBackend` that forwards `POST /run` to worker
+//! processes over the binary wire protocol.
 //!
 //! Routing is rendezvous hashing ([`crate::ring`]) on the canonical spec
 //! hash, so one spec always lands on the same worker while that worker is
-//! up — its in-memory LRU and `results/cache/` shard stay hot. Each
-//! forward opens a one-shot connection (no pooling: nothing idles on a
-//! draining worker), bounded by a per-worker in-flight window.
+//! up and its cache shard stays hot. Each forward opens a one-shot
+//! connection, bounded by a per-worker in-flight window.
 //!
-//! Failure policy, in one place:
+//! * **Dead worker** — a connect failure, a failed write, or a reply cut
+//!   short (`Closed`, `Truncated`, a reset) demotes the worker and fails
+//!   over to the next candidate. `wire_timeout` bounds only the connect
+//!   and the write. The prober revives workers that answer `Health`.
+//! * **Slow worker** — once the `Run` frame is written, the reply is
+//!   awaited until the request deadline: a worker still simulating then
+//!   yields `504`, and is neither demoted nor retried.
+//! * **Worker-reported errors** (`RunErr`) are forwarded verbatim and
+//!   never retried: the stack is deterministic.
+//! * **Exhausted candidates** answer `502`.
 //!
-//! * **Transport failure** (connect refused, timeout, severed mid-frame)
-//!   marks the worker unhealthy and fails over to the next rendezvous
-//!   candidate. The background prober revives workers that answer
-//!   `Health` again.
-//! * **Worker-reported errors** (`RunErr`, e.g. a malformed spec or a
-//!   simulation panic) are forwarded verbatim and never retried: the
-//!   stack is deterministic, so a second worker would fail identically.
-//! * **Exhausted candidates** answer `502`; a blown deadline answers
-//!   `504`, mirroring `hbc-serve`.
-//!
-//! Graceful drain (`POST /shutdown` or [`CoordinatorHandle::shutdown`]):
-//! queued and in-flight requests finish and answer; *new* connections get
-//! an immediate `503` until [`Coordinator::join`] completes. Workers are
-//! left running — they are separate processes with their own drain.
+//! Drain is the front end's; workers are separate processes with their
+//! own drain and are left running.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hbc_probe::Histogram;
-use hbc_serve::http::{self, HttpError, Request};
+use hbc_serve::frontend::{
+    Backend, Frontend, FrontendConfig, FrontendHandle, RunReply, Served, SpanCtx,
+};
 use hbc_serve::json::Json;
-use hbc_serve::metrics::AtomicCounter;
+use hbc_serve::lock;
+use hbc_serve::metrics::{write_family, write_summary, AtomicCounter, Metrics};
 use hbc_serve::spans::ServeSpans;
-use hbc_serve::spec::{ExperimentId, Preset, RunRequest};
+use hbc_serve::spec::RunRequest;
 
-use crate::lock;
 use crate::ring;
 use crate::wire::{self, Msg, TraceCtx, WireError};
 
@@ -66,10 +56,11 @@ pub struct CoordinatorConfig {
     /// Bounded admission-queue capacity; connections beyond it get `429`.
     pub queue_capacity: usize,
     /// Per-request deadline, measured from accept, spanning every
-    /// failover attempt.
+    /// failover attempt and the wait for a worker's reply.
     pub request_timeout: Duration,
-    /// Per-attempt budget for one worker forward (connect + request +
-    /// response), clamped to the remaining request deadline.
+    /// Per-attempt budget for connecting to a worker and writing the
+    /// request to it, clamped to the remaining request deadline. The reply
+    /// is awaited until the request deadline.
     pub wire_timeout: Duration,
     /// Per-worker bound on concurrently forwarded requests.
     pub window: usize,
@@ -97,6 +88,7 @@ impl Default for CoordinatorConfig {
 
 /// Coordinator-side view of one worker: health, the in-flight window,
 /// and per-shard counters.
+#[derive(Default)]
 struct Target {
     addr: String,
     healthy: AtomicBool,
@@ -112,33 +104,18 @@ struct Target {
 
 impl Target {
     fn new(addr: String) -> Self {
-        Target {
-            addr,
-            healthy: AtomicBool::new(true),
-            in_flight: Mutex::new(0),
-            window_cv: Condvar::new(),
-            forwarded: AtomicCounter::default(),
-            failures: AtomicCounter::default(),
-            hits_memory: AtomicCounter::default(),
-            hits_disk: AtomicCounter::default(),
-            misses: AtomicCounter::default(),
-            latency_micros: Mutex::new(Histogram::default()),
-        }
+        Target { addr, healthy: AtomicBool::new(true), ..Target::default() }
     }
 
     /// Claims one in-flight slot, waiting until `deadline` if the window
     /// is full. `false` means the deadline passed first.
     fn acquire(&self, window: usize, deadline: Instant) -> bool {
-        let mut count = lock(&self.in_flight);
-        while *count >= window {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            count = match self.window_cv.wait_timeout(count, deadline - now) {
-                Ok((guard, _)) => guard,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
+        let count = lock(&self.in_flight);
+        let left = deadline.saturating_duration_since(Instant::now());
+        let waited = self.window_cv.wait_timeout_while(count, left, |count| *count >= window);
+        let (mut count, _) = waited.unwrap_or_else(PoisonError::into_inner);
+        if *count >= window {
+            return false;
         }
         *count += 1;
         true
@@ -150,83 +127,71 @@ impl Target {
         drop(count);
         self.window_cv.notify_one();
     }
-}
 
-/// Coordinator-wide counters (the `GET /metrics` families without a
-/// `worker` label).
-#[derive(Debug, Default)]
-struct ClusterMetrics {
-    requests: AtomicCounter,
-    responses_ok: AtomicCounter,
-    responses_bad_request: AtomicCounter,
-    responses_not_found: AtomicCounter,
-    responses_rejected: AtomicCounter,
-    responses_error: AtomicCounter,
-    responses_bad_gateway: AtomicCounter,
-    responses_unavailable: AtomicCounter,
-    responses_timeout: AtomicCounter,
-    failovers: AtomicCounter,
-    retries_exhausted: AtomicCounter,
-    queue_depth: AtomicU64,
-    queue_peak: AtomicU64,
-}
-
-impl ClusterMetrics {
-    fn queue_push(&self) {
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_peak.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    fn queue_pop(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+    /// Marks the worker dead after a transport failure.
+    fn demote(&self) {
+        self.failures.inc();
+        self.healthy.store(false, Ordering::SeqCst);
     }
 }
 
-/// One accepted connection waiting for a handler.
-struct QueuedConn {
-    stream: TcpStream,
-    accepted: Instant,
-    request_id: u64,
-    queued_us: u64,
+/// A per-worker metric family: name, kind, help, and each worker's value.
+type WorkerFamily = (&'static str, &'static str, &'static str, fn(&Target) -> u64);
+
+/// The routing backend: rendezvous plan, in-flight windows, forward,
+/// failover, and the health prober's state. Cloning shares all of it.
+#[derive(Clone)]
+pub(crate) struct ClusterBackend {
+    inner: Arc<Cluster>,
 }
 
-/// State shared by the acceptor, the handlers, the prober, and handles.
-struct Shared {
-    addr: SocketAddr,
+#[derive(Default)]
+struct Cluster {
     targets: Vec<Target>,
     worker_names: Vec<String>,
     window: usize,
-    request_timeout: Duration,
     wire_timeout: Duration,
     probe_interval: Duration,
-    metrics: ClusterMetrics,
-    spans: ServeSpans,
-    queue: Mutex<VecDeque<QueuedConn>>,
-    queue_cv: Condvar,
-    queue_capacity: usize,
-    /// Draining: handlers finish the queue, the acceptor answers `503`.
-    draining: AtomicBool,
-    /// Fully stopped: the acceptor exits (set by `join`).
-    stopped: AtomicBool,
-    /// Prober pacing/wakeup (paired with `draining`).
-    probe_mu: Mutex<()>,
+    failovers: AtomicCounter,
+    retries_exhausted: AtomicCounter,
+    /// Set by [`Coordinator::join`] to stop the prober.
+    probe_stop: Mutex<bool>,
     probe_cv: Condvar,
+}
+
+impl ClusterBackend {
+    fn new(config: &CoordinatorConfig) -> Self {
+        ClusterBackend {
+            inner: Arc::new(Cluster {
+                targets: config.workers.iter().cloned().map(Target::new).collect(),
+                worker_names: config.workers.clone(),
+                window: config.window.max(1),
+                wire_timeout: config.wire_timeout,
+                probe_interval: config.probe_interval,
+                ..Cluster::default()
+            }),
+        }
+    }
+
+    /// A budget for the best-effort control frames (`Health`, `Stats`,
+    /// `Trace`).
+    fn control_budget(&self) -> Duration {
+        self.inner.wire_timeout.min(Duration::from_secs(2))
+    }
 }
 
 /// A running coordinator. Lifecycle: [`Coordinator::bind`] → clients →
 /// `POST /shutdown` (or [`CoordinatorHandle::shutdown`]) →
 /// [`Coordinator::join`].
 pub struct Coordinator {
-    shared: Arc<Shared>,
-    acceptor: JoinHandle<()>,
-    handlers: Vec<JoinHandle<()>>,
+    frontend: Frontend<ClusterBackend>,
     prober: JoinHandle<()>,
 }
 
 /// A cloneable reference to a running coordinator.
 #[derive(Clone)]
 pub struct CoordinatorHandle {
-    shared: Arc<Shared>,
+    frontend: FrontendHandle<ClusterBackend>,
 }
 
 impl Coordinator {
@@ -239,81 +204,41 @@ impl Coordinator {
                 "a coordinator needs at least one worker address",
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        let worker_names = config.workers.clone();
-        let targets = config.workers.into_iter().map(Target::new).collect();
-        let shared = Arc::new(Shared {
-            addr,
-            targets,
-            worker_names,
-            window: config.window.max(1),
-            request_timeout: config.request_timeout,
-            wire_timeout: config.wire_timeout,
-            probe_interval: config.probe_interval,
-            metrics: ClusterMetrics::default(),
-            spans: ServeSpans::new(config.span_capacity),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
+        let backend = ClusterBackend::new(&config);
+        let prober_backend = backend.clone();
+        let front = FrontendConfig {
+            addr: config.addr,
+            handlers: config.handlers,
             queue_capacity: config.queue_capacity,
-            draining: AtomicBool::new(false),
-            stopped: AtomicBool::new(false),
-            probe_mu: Mutex::new(()),
-            probe_cv: Condvar::new(),
-        });
-
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("hbc-cluster-acceptor".to_string())
-                .spawn(move || accept_loop(&shared, &listener))?
+            request_timeout: config.request_timeout,
+            span_capacity: config.span_capacity,
         };
-        let mut handlers = Vec::with_capacity(config.handlers);
-        for i in 0..config.handlers {
-            let shared = Arc::clone(&shared);
-            handlers.push(
-                std::thread::Builder::new()
-                    .name(format!("hbc-cluster-handler-{i}"))
-                    .spawn(move || handler_loop(&shared))?,
-            );
-        }
-        let prober = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("hbc-cluster-prober".to_string())
-                .spawn(move || probe_loop(&shared))?
-        };
-        Ok(Coordinator { shared, acceptor, handlers, prober })
+        let frontend = Frontend::start(front, Arc::new(Metrics::default()), backend)?;
+        let prober = std::thread::Builder::new()
+            .name("hbc-cluster-prober".to_string())
+            .spawn(move || probe_loop(&prober_backend))?;
+        Ok(Coordinator { frontend, prober })
     }
 
     /// The bound address (the real port even when `addr` asked for `:0`).
     pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.frontend.addr()
     }
 
     /// A handle for shutdown and inspection.
     pub fn handle(&self) -> CoordinatorHandle {
-        CoordinatorHandle { shared: Arc::clone(&self.shared) }
+        CoordinatorHandle { frontend: self.frontend.handle() }
     }
 
     /// Blocks until drain completes: handlers finish queued and in-flight
-    /// requests, then the acceptor (which answered `503` meanwhile) exits.
+    /// requests, then the acceptor (which answered `503` meanwhile) and
+    /// the prober exit.
     pub fn join(self) {
-        for handler in self.handlers {
-            let _ = handler.join();
-        }
-        // Handlers are gone; flip the acceptor from 503-mode to exit.
-        self.shared.stopped.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect_timeout(&self.shared.addr, Duration::from_secs(1));
-        let _ = self.acceptor.join();
+        let cluster = Arc::clone(&self.frontend.handle().backend().inner);
+        self.frontend.join();
+        *lock(&cluster.probe_stop) = true;
+        cluster.probe_cv.notify_all();
         let _ = self.prober.join();
-        // With zero handlers configured, connections may still be queued.
-        let leftovers: Vec<QueuedConn> = lock(&self.shared.queue).drain(..).collect();
-        for conn in leftovers {
-            self.shared.metrics.queue_pop();
-            self.shared.metrics.responses_unavailable.inc();
-            respond_without_reading(conn.stream, 503, "coordinator is shutting down");
-        }
     }
 }
 
@@ -321,319 +246,117 @@ impl CoordinatorHandle {
     /// Requests graceful drain: in-flight and queued requests finish, new
     /// connections get `503`.
     pub fn shutdown(&self) {
-        initiate_drain(&self.shared);
+        self.frontend.shutdown();
     }
 
     /// Health flags by worker address, in configured order.
     pub fn worker_health(&self) -> Vec<(String, bool)> {
-        self.shared
-            .targets
-            .iter()
-            .map(|t| (t.addr.clone(), t.healthy.load(Ordering::SeqCst)))
-            .collect()
+        let cluster = &self.frontend.backend().inner;
+        cluster.targets.iter().map(|t| (t.addr.clone(), t.healthy.load(Ordering::SeqCst))).collect()
     }
 
     /// Total requests forwarded to workers (all attempts that got an
     /// answer).
     pub fn forwarded(&self) -> u64 {
-        self.shared.targets.iter().map(|t| t.forwarded.get()).sum()
+        self.frontend.backend().inner.targets.iter().map(|t| t.forwarded.get()).sum()
     }
 
     /// Failovers: attempts abandoned on one worker and retried on the
     /// next rendezvous candidate.
     pub fn failovers(&self) -> u64 {
-        self.shared.metrics.failovers.get()
-    }
-}
-
-fn initiate_drain(shared: &Shared) {
-    if shared.draining.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    shared.queue_cv.notify_all();
-    shared.probe_cv.notify_all();
-}
-
-fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    for stream in listener.incoming() {
-        if shared.stopped.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        if shared.draining.load(Ordering::SeqCst) {
-            shared.metrics.responses_unavailable.inc();
-            respond_without_reading(stream, 503, "coordinator is draining");
-            continue;
-        }
-        let accept_start_us = shared.spans.now_us();
-        let mut queue = lock(&shared.queue);
-        if queue.len() >= shared.queue_capacity {
-            drop(queue);
-            shared.metrics.responses_rejected.inc();
-            respond_without_reading(stream, 429, "admission queue is full, retry later");
-            continue;
-        }
-        let request_id = shared.spans.begin_request();
-        let queued_us = shared.spans.now_us();
-        queue.push_back(QueuedConn { stream, accepted: Instant::now(), request_id, queued_us });
-        shared.metrics.queue_push();
-        drop(queue);
-        shared.spans.record_at("serve.accept", request_id, 0, accept_start_us, queued_us);
-        shared.queue_cv.notify_one();
-    }
-}
-
-/// Writes an error response to a connection whose request was never read
-/// (admission rejection, drain), then sinks the unread request bytes so
-/// closing the socket does not RST the response away.
-fn respond_without_reading(mut stream: TcpStream, status: u16, message: &str) {
-    let short = Duration::from_millis(500);
-    let _ = stream.set_write_timeout(Some(short));
-    let _ = stream.set_read_timeout(Some(short));
-    let body = error_body(status, message);
-    if http::write_response(&mut stream, status, "application/json", &[], body.as_bytes()).is_ok() {
-        use std::io::Read as _;
-        let mut sink = [0u8; 512];
-        while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
-    }
-}
-
-fn handler_loop(shared: &Arc<Shared>) {
-    loop {
-        let conn = {
-            let mut queue = lock(&shared.queue);
-            loop {
-                if let Some(conn) = queue.pop_front() {
-                    shared.metrics.queue_pop();
-                    break Some(conn);
-                }
-                if shared.draining.load(Ordering::SeqCst) {
-                    break None;
-                }
-                queue = match shared.queue_cv.wait(queue) {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-            }
-        };
-        match conn {
-            Some(conn) => handle_conn(shared, conn),
-            None => return,
-        }
+        self.frontend.backend().inner.failovers.get()
     }
 }
 
 /// Background health prober: one `Health` frame per worker per period.
 /// A worker that answers (and is not itself draining) is revived; one
 /// that refuses or stalls is demoted.
-fn probe_loop(shared: &Arc<Shared>) {
-    let timeout = shared.wire_timeout.min(Duration::from_secs(2));
+fn probe_loop(backend: &ClusterBackend) {
+    let cluster = &backend.inner;
+    let timeout = backend.control_budget();
     loop {
-        if shared.draining.load(Ordering::SeqCst) {
-            return;
-        }
-        for target in &shared.targets {
+        for target in &cluster.targets {
             let alive = matches!(
-                forward(&target.addr, &Msg::Health, timeout),
+                wire::exchange(&target.addr, &Msg::Health, timeout),
                 Ok(Msg::HealthOk { draining: false, .. })
             );
             target.healthy.store(alive, Ordering::SeqCst);
         }
-        let guard = lock(&shared.probe_mu);
-        if shared.draining.load(Ordering::SeqCst) {
+        let stop = lock(&cluster.probe_stop);
+        let (stop, _) = cluster
+            .probe_cv
+            .wait_timeout_while(stop, cluster.probe_interval, |stop| !*stop)
+            .unwrap_or_else(PoisonError::into_inner);
+        if *stop {
             return;
         }
-        drop(match shared.probe_cv.wait_timeout(guard, shared.probe_interval) {
-            Ok((guard, _)) => guard,
-            Err(poisoned) => poisoned.into_inner().0,
-        });
     }
 }
 
-/// One one-shot wire exchange: connect, send `msg`, read the reply. The
-/// whole exchange shares one `budget`.
-fn forward(addr: &str, msg: &Msg, budget: Duration) -> Result<Msg, WireError> {
-    let parsed: SocketAddr = addr
-        .parse()
-        .map_err(|_| WireError::Io(io::Error::new(io::ErrorKind::InvalidInput, "bad address")))?;
-    let mut stream = TcpStream::connect_timeout(&parsed, budget)?;
-    stream.set_read_timeout(Some(budget))?;
-    stream.set_write_timeout(Some(budget))?;
-    wire::write_msg(&mut stream, msg)?;
-    wire::read_msg(&mut stream)
+/// The `504` answer for a request whose deadline passed first.
+fn deadline_passed() -> (u16, String) {
+    (504, "request deadline passed before any worker answered".to_string())
 }
 
-/// JSON error envelope: `{"error":…,"status":…}` — same shape as
-/// `hbc-serve`.
-fn error_body(status: u16, message: &str) -> String {
-    let mut obj = BTreeMap::new();
-    obj.insert("error".to_string(), Json::Str(message.to_string()));
-    obj.insert("status".to_string(), Json::U64(u64::from(status)));
-    Json::Obj(obj).render()
+/// How one `Run` forward ended.
+enum Forwarded {
+    /// The worker answered (well-framed, though maybe nonsensical).
+    Reply(Msg),
+    /// Connect or write failed, or the reply was cut short.
+    Dead,
+    /// The deadline passed first, typically with the frame taken by a
+    /// worker that is still simulating: slow, not dead.
+    TimedOut,
 }
 
-/// Per-request context threaded from accept to response. Unlike the
-/// single-node server, end-to-end latency lives per worker (recorded
-/// around each forward), so only the span-trace request ID rides along.
-#[derive(Clone, Copy)]
-struct ReqCtx {
-    request_id: u64,
-}
-
-/// One response, with metrics accounting by status and spans for the
-/// serialize and write stages.
-fn respond(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    ctx: ReqCtx,
-    status: u16,
-    content_type: &str,
-    extra_headers: &[(&str, &str)],
-    body: &[u8],
-) {
-    let m = &shared.metrics;
-    match status {
-        200 => m.responses_ok.inc(),
-        400 | 405 => m.responses_bad_request.inc(),
-        404 => m.responses_not_found.inc(),
-        429 => m.responses_rejected.inc(),
-        502 => m.responses_bad_gateway.inc(),
-        503 => m.responses_unavailable.inc(),
-        504 => m.responses_timeout.inc(),
-        _ => m.responses_error.inc(),
+/// Forwards one `Run` frame: connect and write within `wire_timeout`,
+/// then wait for the reply until `deadline`.
+fn forward_run(addr: &str, msg: &Msg, wire_timeout: Duration, deadline: Instant) -> Forwarded {
+    let budget = wire_timeout.min(deadline.saturating_duration_since(Instant::now()));
+    if budget.is_zero() {
+        return Forwarded::TimedOut;
     }
-    let serialize_start_us = shared.spans.now_us();
-    let bytes = http::render_response(status, content_type, extra_headers, body);
-    let write_start_us = shared.spans.now_us();
-    shared.spans.record_at(
-        "serve.serialize",
-        ctx.request_id,
-        0,
-        serialize_start_us,
-        write_start_us,
-    );
-    use std::io::Write as _;
-    let _ = stream.write_all(&bytes).and_then(|()| stream.flush());
-    shared.spans.record_at("serve.write", ctx.request_id, 0, write_start_us, shared.spans.now_us());
-}
-
-fn respond_error(shared: &Shared, stream: &mut TcpStream, ctx: ReqCtx, status: u16, message: &str) {
-    let body = error_body(status, message);
-    respond(shared, stream, ctx, status, "application/json", &[], body.as_bytes());
-}
-
-fn handle_conn(shared: &Arc<Shared>, conn: QueuedConn) {
-    let QueuedConn { mut stream, accepted, request_id, queued_us } = conn;
-    let ctx = ReqCtx { request_id };
-    shared.spans.record_at("serve.queue_wait", request_id, 0, queued_us, shared.spans.now_us());
-    let deadline = accepted + shared.request_timeout;
-    let now = Instant::now();
-    if now >= deadline {
-        shared.metrics.requests.inc();
-        respond_error(shared, &mut stream, ctx, 504, "request timed out in queue");
-        return;
+    let Ok(mut stream) = wire::send(addr, msg, budget) else { return Forwarded::Dead };
+    let wait = deadline.saturating_duration_since(Instant::now());
+    if wait.is_zero() {
+        return Forwarded::TimedOut;
     }
-    let io_budget = (deadline - now).min(Duration::from_secs(10));
-    let _ = stream.set_read_timeout(Some(io_budget));
-    let _ = stream.set_write_timeout(Some(io_budget));
-
-    let parse_start_us = shared.spans.now_us();
-    let parsed = http::read_request(&mut stream);
-    shared.spans.record_at("serve.parse", request_id, 0, parse_start_us, shared.spans.now_us());
-    let request = match parsed {
-        Ok(request) => request,
-        Err(HttpError::Closed | HttpError::Io(_)) => return,
-        Err(err @ (HttpError::Malformed(_) | HttpError::TooLarge(_))) => {
-            shared.metrics.requests.inc();
-            respond_error(shared, &mut stream, ctx, 400, &err.to_string());
-            return;
-        }
-    };
-    shared.metrics.requests.inc();
-
-    // `Request.path` carries the query string verbatim; split it off so
-    // `/trace?federated=1` routes to the trace endpoint. Every response
-    // for a bare path is byte-identical to before.
-    let (path, query) = match request.path.split_once('?') {
-        Some((path, query)) => (path, query),
-        None => (request.path.as_str(), ""),
-    };
-    match (request.method.as_str(), path) {
-        ("POST", "/run") => handle_run(shared, &mut stream, ctx, deadline, &request),
-        ("GET", "/metrics") => {
-            let body = render_prometheus(shared);
-            let ct = "text/plain; version=0.0.4";
-            respond(shared, &mut stream, ctx, 200, ct, &[], body.as_bytes());
-        }
-        ("GET", "/cluster") => {
-            let body = cluster_body(shared);
-            respond(shared, &mut stream, ctx, 200, "application/json", &[], body.as_bytes());
-        }
-        ("GET", "/trace") => {
-            let body = if query.split('&').any(|pair| pair == "federated=1") {
-                federated_trace_body(shared)
-            } else {
-                shared.spans.to_jsonl()
-            };
-            respond(shared, &mut stream, ctx, 200, "application/x-ndjson", &[], body.as_bytes());
-        }
-        ("GET", "/healthz") => {
-            respond(shared, &mut stream, ctx, 200, "text/plain", &[], b"ok\n");
-        }
-        ("GET", "/experiments") => {
-            let body = experiments_body();
-            respond(shared, &mut stream, ctx, 200, "application/json", &[], body.as_bytes());
-        }
-        ("POST", "/shutdown") => {
-            respond(shared, &mut stream, ctx, 200, "text/plain", &[], b"draining\n");
-            initiate_drain(shared);
-        }
-        (
-            _,
-            "/run" | "/metrics" | "/cluster" | "/trace" | "/healthz" | "/experiments" | "/shutdown",
-        ) => {
-            respond_error(shared, &mut stream, ctx, 405, "method not allowed");
-        }
-        _ => respond_error(shared, &mut stream, ctx, 404, "no such endpoint"),
+    if stream.set_read_timeout(Some(wait)).is_err() {
+        return Forwarded::Dead;
     }
-}
-
-/// `GET /experiments`: same body as `hbc-serve` — the coordinator is a
-/// drop-in front door.
-fn experiments_body() -> String {
-    let experiments = ExperimentId::ALL.map(|id| Json::Str(id.name().to_string())).to_vec();
-    let presets = [Preset::Fast, Preset::Standard, Preset::Full]
-        .map(|p| Json::Str(p.name().to_string()))
-        .to_vec();
-    let mut obj = BTreeMap::new();
-    obj.insert("experiments".to_string(), Json::Arr(experiments));
-    obj.insert("presets".to_string(), Json::Arr(presets));
-    Json::Obj(obj).render()
+    match wire::read_msg(&mut stream) {
+        Ok(reply) => Forwarded::Reply(reply),
+        Err(WireError::Io(e))
+            if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+        {
+            Forwarded::TimedOut
+        }
+        Err(_) => Forwarded::Dead,
+    }
 }
 
 /// `GET /cluster`: topology and live per-worker stats (best-effort wire
 /// `Stats` probes with a short budget).
-fn cluster_body(shared: &Shared) -> String {
-    let stats_budget = shared.wire_timeout.min(Duration::from_secs(2));
+fn cluster_body(backend: &ClusterBackend, draining: bool) -> String {
+    let cluster = &backend.inner;
     let mut workers = Vec::new();
-    for target in &shared.targets {
+    for target in &cluster.targets {
         let mut obj = BTreeMap::new();
         obj.insert("addr".to_string(), Json::Str(target.addr.clone()));
         obj.insert("healthy".to_string(), Json::Bool(target.healthy.load(Ordering::SeqCst)));
         obj.insert("forwarded".to_string(), Json::U64(target.forwarded.get()));
         obj.insert("failures".to_string(), Json::U64(target.failures.get()));
-        if let Ok(Msg::StatsOk { pairs }) = forward(&target.addr, &Msg::Stats, stats_budget) {
-            let mut stats = BTreeMap::new();
-            for (name, value) in pairs {
-                stats.insert(name, Json::U64(value));
-            }
+        if let Ok(Msg::StatsOk { pairs }) =
+            wire::exchange(&target.addr, &Msg::Stats, backend.control_budget())
+        {
+            let stats = pairs.into_iter().map(|(name, value)| (name, Json::U64(value))).collect();
             obj.insert("stats".to_string(), Json::Obj(stats));
         }
         workers.push(Json::Obj(obj));
     }
     let mut obj = BTreeMap::new();
-    obj.insert("draining".to_string(), Json::Bool(shared.draining.load(Ordering::SeqCst)));
-    obj.insert("failovers".to_string(), Json::U64(shared.metrics.failovers.get()));
+    obj.insert("draining".to_string(), Json::Bool(draining));
+    obj.insert("failovers".to_string(), Json::U64(cluster.failovers.get()));
     obj.insert("workers".to_string(), Json::Arr(workers));
     Json::Obj(obj).render()
 }
@@ -644,21 +367,15 @@ fn cluster_body(shared: &Shared) -> String {
 /// accounting (`{"trace_meta":1,"node":…,"dropped":…,"retained":…}`), so
 /// a truncated ring is visible in the merge instead of silently reading
 /// as a complete trace. The bare `GET /trace` body is unchanged.
-fn federated_trace_body(shared: &Shared) -> String {
-    let trace_budget = shared.wire_timeout.min(Duration::from_secs(2));
+fn federated_trace_body(backend: &ClusterBackend, spans: &ServeSpans) -> String {
     let mut out = String::new();
-    push_trace_source(
-        &mut out,
-        "coordinator",
-        shared.spans.log().dropped(),
-        &shared.spans.to_jsonl(),
-    );
-    for target in &shared.targets {
+    push_trace_source(&mut out, "coordinator", spans.log().dropped(), &spans.to_jsonl());
+    for target in &backend.inner.targets {
         if !target.healthy.load(Ordering::SeqCst) {
             continue;
         }
         if let Ok(Msg::TraceOk { worker_id, dropped, jsonl }) =
-            forward(&target.addr, &Msg::Trace, trace_budget)
+            wire::exchange(&target.addr, &Msg::Trace, backend.control_budget())
         {
             push_trace_source(&mut out, &worker_id, dropped, &jsonl);
         }
@@ -676,312 +393,199 @@ fn push_trace_source(out: &mut String, node: &str, dropped: u64, jsonl: &str) {
     out.push_str(jsonl);
 }
 
-/// Routes and forwards one `POST /run`, with failover.
-fn handle_run(
-    shared: &Arc<Shared>,
-    stream: &mut TcpStream,
-    ctx: ReqCtx,
-    deadline: Instant,
-    request: &Request,
-) {
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => {
-            respond_error(shared, stream, ctx, 400, "request body is not UTF-8");
-            return;
-        }
-    };
-    // Validate locally so garbage never costs a forward, and compute the
-    // routing hash. The *original* spec text is what gets forwarded — the
-    // worker derives the identical canonical form and cache key.
-    let run = match RunRequest::from_json_text(text) {
-        Ok(run) => run,
-        Err(err) => {
-            respond_error(shared, stream, ctx, 400, &err.to_string());
-            return;
-        }
-    };
-    let hash = run.spec_hash();
+impl Backend for ClusterBackend {
+    const PREFIX: &'static str = "cluster";
+    const PATHS: &'static [&'static str] = &["/cluster"];
 
-    let route_start_us = shared.spans.now_us();
-    let order = ring::candidates(&hash, &shared.worker_names);
-    // Healthy candidates first (rendezvous order preserved), then the
-    // unhealthy rest as a last resort — the prober's view may be stale,
-    // and trying a dead worker only costs one fast connect failure.
-    let mut plan: Vec<usize> = Vec::with_capacity(order.len());
-    plan.extend(order.iter().filter(|&&i| shared.targets[i].healthy.load(Ordering::SeqCst)));
-    plan.extend(order.iter().filter(|&&i| !shared.targets[i].healthy.load(Ordering::SeqCst)));
-    shared.spans.record_at(
-        "cluster.route",
-        ctx.request_id,
-        0,
-        route_start_us,
-        shared.spans.now_us(),
-    );
+    /// Routes and forwards one validated `POST /run`, with failover. The
+    /// *original* spec text is what gets forwarded — the worker derives
+    /// the identical canonical form and cache key.
+    fn run(&self, spec: &str, run: RunRequest, trace: SpanCtx<'_>, deadline: Instant) -> RunReply {
+        let cluster = &self.inner;
+        let spans = trace.spans;
+        let hash = run.spec_hash();
 
-    for (attempt, &index) in plan.iter().enumerate() {
-        let target = &shared.targets[index];
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        if !target.acquire(shared.window, deadline) {
-            break; // Window never opened before the deadline.
-        }
-        if attempt > 0 {
-            shared.metrics.failovers.inc();
-        }
-        let budget = shared.wire_timeout.min(deadline.saturating_duration_since(Instant::now()));
-        // The forward span's ID is allocated before the exchange so it
-        // can ride in the wire trace context: the worker records its
-        // spans under this request ID, parented on this span, and the
-        // federated trace stitches into one tree. Each failover attempt
-        // gets its own forward span.
-        let forward_span = shared.spans.alloc_span();
-        let trace = Some(TraceCtx { request: ctx.request_id, parent: forward_span });
-        let forward_start_us = shared.spans.now_us();
-        let forward_start = Instant::now();
-        let run_msg = Msg::Run { spec_json: text.to_string(), trace };
-        let outcome = forward(&target.addr, &run_msg, budget);
-        let micros = u64::try_from(forward_start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        shared.spans.record_linked(
-            "cluster.forward",
-            forward_span,
-            ctx.request_id,
-            0,
-            forward_start_us,
-            shared.spans.now_us(),
+        let route_start_us = spans.now_us();
+        let order = ring::candidates(&hash, &cluster.worker_names);
+        // Healthy candidates first (rendezvous order preserved), then the
+        // unhealthy rest as a last resort — the prober's view may be stale,
+        // and trying a dead worker only costs one fast connect failure.
+        let healthy = |i: &&usize| cluster.targets[**i].healthy.load(Ordering::SeqCst);
+        let mut plan: Vec<usize> = order.iter().filter(healthy).copied().collect();
+        plan.extend(order.iter().filter(|i| !healthy(i)));
+        spans.record_at(
+            "cluster.route",
+            trace.request,
+            trace.parent,
+            route_start_us,
+            spans.now_us(),
         );
-        target.release();
-        match outcome {
-            Ok(Msg::RunOk { cache, spec_hash, body }) => {
-                target.forwarded.inc();
-                lock(&target.latency_micros).record(micros);
-                match cache.as_str() {
-                    "hit-memory" => target.hits_memory.inc(),
-                    "hit-disk" => target.hits_disk.inc(),
-                    _ => target.misses.inc(),
+
+        for (attempt, &index) in plan.iter().enumerate() {
+            let target = &cluster.targets[index];
+            if Instant::now() >= deadline || !target.acquire(cluster.window, deadline) {
+                break;
+            }
+            if attempt > 0 {
+                cluster.failovers.inc();
+            }
+            // The forward span's ID is allocated before the exchange so it
+            // can ride in the wire trace context: the worker records its
+            // spans under this request ID, parented on this span, and the
+            // federated trace stitches into one tree. Each failover attempt
+            // gets its own forward span.
+            let forward_span = spans.alloc_span();
+            let ctx = Some(TraceCtx { request: trace.request, parent: forward_span });
+            let forward_start_us = spans.now_us();
+            let forward_start = Instant::now();
+            let run_msg = Msg::Run { spec_json: spec.to_string(), trace: ctx };
+            let outcome = forward_run(&target.addr, &run_msg, cluster.wire_timeout, deadline);
+            let micros = u64::try_from(forward_start.elapsed().as_micros()).unwrap_or(u64::MAX);
+            spans.record_linked(
+                "cluster.forward",
+                forward_span,
+                trace.request,
+                trace.parent,
+                forward_start_us,
+                spans.now_us(),
+            );
+            target.release();
+            match outcome {
+                Forwarded::Reply(Msg::RunOk { cache, spec_hash, body }) => {
+                    target.forwarded.inc();
+                    lock(&target.latency_micros).record(micros);
+                    match cache.as_str() {
+                        "hit-memory" => target.hits_memory.inc(),
+                        "hit-disk" => target.hits_disk.inc(),
+                        _ => target.misses.inc(),
+                    }
+                    let worker = Some(target.addr.clone());
+                    return Ok(Served { cache, spec_hash, worker, body });
                 }
-                let headers = [
-                    ("X-Cache", cache.as_str()),
-                    ("X-Spec-Hash", spec_hash.as_str()),
-                    ("X-Worker", target.addr.as_str()),
-                ];
-                respond(shared, stream, ctx, 200, "text/plain", &headers, body.as_bytes());
-                return;
+                Forwarded::Reply(Msg::RunErr { status, message }) => {
+                    // The worker answered: the stack is deterministic, so a
+                    // retry elsewhere would fail identically. Forward as-is.
+                    target.forwarded.inc();
+                    lock(&target.latency_micros).record(micros);
+                    let status = if (400..=599).contains(&status) { status } else { 500 };
+                    return Err((status, message));
+                }
+                // The worker took the request and is still working on it:
+                // no retry elsewhere can beat the deadline.
+                Forwarded::TimedOut => return Err(deadline_passed()),
+                // A well-framed but nonsensical reply, or a dead transport:
+                // demote the worker and fail over.
+                Forwarded::Reply(_) | Forwarded::Dead => target.demote(),
             }
-            Ok(Msg::RunErr { status, message }) => {
-                // The worker answered: the stack is deterministic, so a
-                // retry elsewhere would fail identically. Forward as-is.
-                target.forwarded.inc();
-                lock(&target.latency_micros).record(micros);
-                let status = if (400..=599).contains(&status) { status } else { 500 };
-                respond_error(shared, stream, ctx, status, &message);
-                return;
-            }
-            Ok(_) => {
-                // A well-framed but nonsensical reply: treat the worker
-                // as broken and fail over.
-                target.failures.inc();
-                target.healthy.store(false, Ordering::SeqCst);
-            }
-            Err(_) => {
-                target.failures.inc();
-                target.healthy.store(false, Ordering::SeqCst);
-            }
+        }
+
+        if Instant::now() >= deadline {
+            Err(deadline_passed())
+        } else {
+            cluster.retries_exhausted.inc();
+            Err((502, "no worker answered this request; every rendezvous candidate failed".into()))
         }
     }
 
-    if Instant::now() >= deadline {
-        respond_error(
-            shared,
-            stream,
-            ctx,
-            504,
-            "request deadline passed before any worker answered",
-        );
-    } else {
-        shared.metrics.retries_exhausted.inc();
-        respond_error(
-            shared,
-            stream,
-            ctx,
-            502,
-            "no worker answered this request; every rendezvous candidate failed",
-        );
-    }
-}
-
-/// Renders `GET /metrics` in the Prometheus text exposition format —
-/// accepted by `hbc_serve::metrics::parse_prometheus`, same conventions
-/// as the single-node server.
-fn render_prometheus(shared: &Shared) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let family = |out: &mut String, name: &str, kind: &str, help: &str| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-    };
-    let m = &shared.metrics;
-
-    family(
-        &mut out,
-        "cluster_requests_total",
-        "counter",
-        "HTTP requests that reached a coordinator handler.",
-    );
-    let _ = writeln!(out, "cluster_requests_total {}", m.requests.get());
-
-    family(&mut out, "cluster_responses_total", "counter", "Responses by HTTP status code.");
-    for (status, counter) in [
-        ("200", &m.responses_ok),
-        ("400", &m.responses_bad_request),
-        ("404", &m.responses_not_found),
-        ("429", &m.responses_rejected),
-        ("500", &m.responses_error),
-        ("502", &m.responses_bad_gateway),
-        ("503", &m.responses_unavailable),
-        ("504", &m.responses_timeout),
-    ] {
-        let _ = writeln!(out, "cluster_responses_total{{status=\"{status}\"}} {}", counter.get());
-    }
-
-    family(
-        &mut out,
-        "cluster_forwarded_total",
-        "counter",
-        "Requests answered by each worker (RunOk or RunErr).",
-    );
-    for t in &shared.targets {
-        let _ =
-            writeln!(out, "cluster_forwarded_total{{worker=\"{}\"}} {}", t.addr, t.forwarded.get());
-    }
-
-    family(
-        &mut out,
-        "cluster_worker_failures_total",
-        "counter",
-        "Transport failures per worker (connect refused, timeout, severed frame).",
-    );
-    for t in &shared.targets {
-        let _ = writeln!(
-            out,
-            "cluster_worker_failures_total{{worker=\"{}\"}} {}",
-            t.addr,
-            t.failures.get()
-        );
-    }
-
-    family(
-        &mut out,
-        "cluster_failovers_total",
-        "counter",
-        "Attempts abandoned on one worker and retried on the next rendezvous candidate.",
-    );
-    let _ = writeln!(out, "cluster_failovers_total {}", m.failovers.get());
-
-    family(
-        &mut out,
-        "cluster_retries_exhausted_total",
-        "counter",
-        "Requests answered 502 after every rendezvous candidate failed.",
-    );
-    let _ = writeln!(out, "cluster_retries_exhausted_total {}", m.retries_exhausted.get());
-
-    family(
-        &mut out,
-        "cluster_worker_healthy",
-        "gauge",
-        "1 if the worker's last health probe (or forward) succeeded.",
-    );
-    for t in &shared.targets {
-        let healthy = u64::from(t.healthy.load(Ordering::SeqCst));
-        let _ = writeln!(out, "cluster_worker_healthy{{worker=\"{}\"}} {healthy}", t.addr);
-    }
-
-    family(
-        &mut out,
-        "cluster_shard_hits_total",
-        "counter",
-        "Worker-reported cache hits by shard and serving tier.",
-    );
-    for t in &shared.targets {
-        let _ = writeln!(
-            out,
-            "cluster_shard_hits_total{{worker=\"{}\",tier=\"memory\"}} {}",
-            t.addr,
-            t.hits_memory.get()
-        );
-        let _ = writeln!(
-            out,
-            "cluster_shard_hits_total{{worker=\"{}\",tier=\"disk\"}} {}",
-            t.addr,
-            t.hits_disk.get()
-        );
-    }
-    family(
-        &mut out,
-        "cluster_shard_misses_total",
-        "counter",
-        "Worker-reported cache misses (a simulation ran on that shard).",
-    );
-    for t in &shared.targets {
-        let _ =
-            writeln!(out, "cluster_shard_misses_total{{worker=\"{}\"}} {}", t.addr, t.misses.get());
-    }
-
-    family(&mut out, "cluster_queue_depth", "gauge", "Current admission-queue depth.");
-    let _ = writeln!(out, "cluster_queue_depth {}", m.queue_depth.load(Ordering::Relaxed));
-    family(&mut out, "cluster_queue_peak", "gauge", "High-water mark of the admission queue.");
-    let _ = writeln!(out, "cluster_queue_peak {}", m.queue_peak.load(Ordering::Relaxed));
-
-    family(
-        &mut out,
-        "hbc_span_dropped_total",
-        "counter",
-        "Spans evicted from the bounded ring before export (a nonzero value means GET /trace is truncated).",
-    );
-    let _ = writeln!(out, "hbc_span_dropped_total {}", shared.spans.log().dropped());
-
-    let summary = |out: &mut String, name: &str, labels: &str, h: &Histogram| {
-        let lead = if labels.is_empty() { String::new() } else { format!("{labels},") };
-        for (q, tag) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-            let _ = writeln!(out, "{name}{{{lead}quantile=\"{tag}\"}} {}", h.quantile(q));
+    fn get(
+        &self,
+        path: &str,
+        query: &str,
+        spans: &ServeSpans,
+        draining: bool,
+    ) -> Option<(&'static str, String)> {
+        match path {
+            "/cluster" => Some(("application/json", cluster_body(self, draining))),
+            "/trace" if query.split('&').any(|pair| pair == "federated=1") => {
+                Some(("application/x-ndjson", federated_trace_body(self, spans)))
+            }
+            _ => None,
         }
-        let braced = if labels.is_empty() { String::new() } else { format!("{{{labels}}}") };
-        let _ = writeln!(out, "{name}_sum{braced} {}", h.sum());
-        let _ = writeln!(out, "{name}_count{braced} {}", h.count());
-    };
-    family(
-        &mut out,
-        "cluster_worker_latency_microseconds",
-        "summary",
-        "Forward round-trip latency per worker (connect to reply read).",
-    );
-    for t in &shared.targets {
-        summary(
-            &mut out,
-            "cluster_worker_latency_microseconds",
-            &format!("worker=\"{}\"", t.addr),
-            &lock(&t.latency_micros).clone(),
-        );
     }
 
-    family(
-        &mut out,
-        "cluster_stage_duration_microseconds",
-        "summary",
-        "Span duration per coordinator lifecycle stage.",
-    );
-    for (stage, h) in &shared.spans.stage_histograms() {
-        summary(&mut out, "cluster_stage_duration_microseconds", &format!("stage=\"{stage}\""), h);
+    fn write_metrics(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let cluster = &self.inner;
+        let per_worker: [WorkerFamily; 4] = [
+            (
+                "cluster_forwarded_total",
+                "counter",
+                "Requests answered by each worker (RunOk or RunErr).",
+                |t| t.forwarded.get(),
+            ),
+            (
+                "cluster_worker_failures_total",
+                "counter",
+                "Transport failures per worker (connect refused, failed write, severed frame).",
+                |t| t.failures.get(),
+            ),
+            (
+                "cluster_worker_healthy",
+                "gauge",
+                "1 if the worker's last health probe (or forward) succeeded.",
+                |t| u64::from(t.healthy.load(Ordering::SeqCst)),
+            ),
+            (
+                "cluster_shard_misses_total",
+                "counter",
+                "Worker-reported cache misses (a simulation ran on that shard).",
+                |t| t.misses.get(),
+            ),
+        ];
+        for (name, kind, help, value) in per_worker {
+            write_family(out, name, kind, help);
+            for t in &cluster.targets {
+                let _ = writeln!(out, "{name}{{worker=\"{}\"}} {}", t.addr, value(t));
+            }
+        }
+        write_family(
+            out,
+            "cluster_shard_hits_total",
+            "counter",
+            "Worker-reported cache hits by shard and serving tier.",
+        );
+        for t in &cluster.targets {
+            for (tier, counter) in [("memory", &t.hits_memory), ("disk", &t.hits_disk)] {
+                let (addr, hits) = (&t.addr, counter.get());
+                let _ = writeln!(
+                    out,
+                    "cluster_shard_hits_total{{worker=\"{addr}\",tier=\"{tier}\"}} {hits}"
+                );
+            }
+        }
+        for (name, help, counter) in [
+            (
+                "cluster_failovers_total",
+                "Attempts abandoned on one worker and retried on the next rendezvous candidate.",
+                &cluster.failovers,
+            ),
+            (
+                "cluster_retries_exhausted_total",
+                "Requests answered 502 after every rendezvous candidate failed.",
+                &cluster.retries_exhausted,
+            ),
+        ] {
+            write_family(out, name, "counter", help);
+            let _ = writeln!(out, "{name} {}", counter.get());
+        }
+        let latency = "cluster_worker_latency_microseconds";
+        write_family(
+            out,
+            latency,
+            "summary",
+            "Forward round-trip latency per worker (connect to reply read).",
+        );
+        for t in &cluster.targets {
+            let h = lock(&t.latency_micros).clone();
+            write_summary(out, latency, &format!("worker=\"{}\"", t.addr), &h);
+        }
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbc_serve::frontend::render_metrics;
     use hbc_serve::metrics::parse_prometheus;
 
     #[test]
@@ -993,40 +597,19 @@ mod tests {
     }
 
     #[test]
-    fn error_bodies_are_valid_json() {
-        let body = error_body(502, "no worker answered");
-        let v = Json::parse(&body).expect("envelope parses");
-        assert_eq!(v.as_obj().unwrap()["status"].as_u64(), Some(502));
-    }
-
-    #[test]
     fn prometheus_rendering_is_strictly_parseable() {
-        let shared = Shared {
-            addr: "127.0.0.1:0".parse().expect("addr"),
-            targets: vec![
-                Target::new("127.0.0.1:9101".to_string()),
-                Target::new("127.0.0.1:9102".to_string()),
-            ],
-            worker_names: vec!["127.0.0.1:9101".to_string(), "127.0.0.1:9102".to_string()],
-            window: 4,
-            request_timeout: Duration::from_secs(1),
-            wire_timeout: Duration::from_secs(1),
-            probe_interval: Duration::from_secs(1),
-            metrics: ClusterMetrics::default(),
-            spans: ServeSpans::new(8),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            queue_capacity: 4,
-            draining: AtomicBool::new(false),
-            stopped: AtomicBool::new(false),
-            probe_mu: Mutex::new(()),
-            probe_cv: Condvar::new(),
+        let config = CoordinatorConfig {
+            workers: vec!["127.0.0.1:9101".to_string(), "127.0.0.1:9102".to_string()],
+            ..CoordinatorConfig::default()
         };
-        shared.metrics.requests.inc();
-        shared.targets[0].forwarded.inc();
-        shared.targets[1].healthy.store(false, Ordering::SeqCst);
-        shared.spans.record_at("cluster.route", 1, 0, 0, 5);
-        let text = render_prometheus(&shared);
+        let backend = ClusterBackend::new(&config);
+        let metrics = Metrics::default();
+        let spans = ServeSpans::new(8);
+        metrics.requests.inc();
+        backend.inner.targets[0].forwarded.inc();
+        backend.inner.targets[1].healthy.store(false, Ordering::SeqCst);
+        spans.record_at("cluster.route", 1, 0, 0, 5);
+        let text = render_metrics(&metrics, &spans, &backend);
         let samples = parse_prometheus(&text).expect("strict parse succeeds");
         let healthy: Vec<f64> = samples
             .iter()

@@ -14,15 +14,14 @@
 //!   canonical spec hash: each spec has a deterministic worker order
 //!   `[primary, first failover, …]` computed from the membership list
 //!   alone, keeping every worker's result-cache shard hot;
-//! * [`worker`] — a TCP server embedding the full `hbc-serve` result
-//!   stack (spec validation, content-addressed cache, simulation
-//!   drivers), serving wire frames; supports graceful drain and an
-//!   abrupt kill for failover tests;
-//! * [`coordinator`] — the HTTP front door speaking the exact
-//!   `hbc-serve` API (`POST /run`, `GET /metrics`, `GET /trace`, …),
-//!   with per-worker health probes, bounded in-flight windows,
-//!   per-request deadlines, and retry-with-failover to the next
-//!   rendezvous candidate.
+//! * [`worker`] — a TCP server answering wire frames through
+//!   `hbc-serve`'s local run path (cache, single-flight, simulation
+//!   drivers); supports graceful drain and an abrupt kill for failover
+//!   tests;
+//! * [`coordinator`] — `hbc-serve`'s HTTP front end over a routing
+//!   backend: health probes, bounded in-flight windows, and failover to
+//!   the next rendezvous candidate when a worker is dead (a slow one is
+//!   waited for until the request deadline).
 //!
 //! The correctness bar (proved by `tests/cluster_e2e.rs`): a response
 //! fetched through the coordinator is byte-identical to what a direct
@@ -51,18 +50,3 @@ pub mod coordinator;
 pub mod ring;
 pub mod wire;
 pub mod worker;
-
-use std::sync::{Mutex, MutexGuard};
-
-/// Locks a mutex, recovering the guard if a previous holder panicked.
-///
-/// Same rationale as `hbc-serve`: one poisoned lock must not wedge every
-/// later request. Every critical section here (admission queue, in-flight
-/// windows, connection registry, latency histograms) completes its writes
-/// before leaving, so continuing with the inner value is sound.
-pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}

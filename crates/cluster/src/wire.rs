@@ -36,6 +36,8 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 use hbc_serve::hash::sha256;
 
@@ -503,6 +505,26 @@ pub fn read_msg(stream: &mut impl Read) -> Result<Msg, WireError> {
         return Err(WireError::BadChecksum { got, want });
     }
     decode_payload(kind, &payload)
+}
+
+/// Connects to `addr` and writes `msg`, connect and write each bounded by
+/// `budget`; returns the stream to read the reply from.
+pub fn send(addr: &str, msg: &Msg, budget: Duration) -> Result<TcpStream, WireError> {
+    let parsed: SocketAddr = addr
+        .parse()
+        .map_err(|_| WireError::Io(io::Error::new(io::ErrorKind::InvalidInput, "bad address")))?;
+    let mut stream = TcpStream::connect_timeout(&parsed, budget)?;
+    stream.set_write_timeout(Some(budget))?;
+    write_msg(&mut stream, msg)?;
+    Ok(stream)
+}
+
+/// One one-shot exchange: connect, send `msg`, read the reply, each step
+/// bounded by `budget`.
+pub fn exchange(addr: &str, msg: &Msg, budget: Duration) -> Result<Msg, WireError> {
+    let mut stream = send(addr, msg, budget)?;
+    stream.set_read_timeout(Some(budget))?;
+    read_msg(&mut stream)
 }
 
 #[cfg(test)]

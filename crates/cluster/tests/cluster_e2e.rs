@@ -1,15 +1,19 @@
 //! End-to-end cluster tests: determinism through routing, failover on a
-//! killed worker, and graceful coordinator drain.
+//! killed worker, patience with a slow one, and graceful coordinator
+//! drain.
 //!
 //! The serving contract under test: a response fetched through the
 //! coordinator is byte-identical to `RunRequest::execute` for the same
 //! spec — no matter which worker answered, and no matter whether the
 //! spec's primary worker died first.
 
+use std::io::Read as _;
+use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
 use hbc_cluster::coordinator::{Coordinator, CoordinatorConfig, CoordinatorHandle};
 use hbc_cluster::ring;
+use hbc_cluster::wire::{self, Msg};
 use hbc_cluster::worker::{Worker, WorkerConfig};
 use hbc_serve::client::HttpClient;
 use hbc_serve::metrics::parse_prometheus;
@@ -305,6 +309,74 @@ fn coordinator_drain_finishes_in_flight_and_refuses_new() {
     assert!(alive.is_ok(), "drain of the coordinator must not touch workers");
     worker.handle().drain();
     worker.join();
+}
+
+/// A worker that answers `Health` at once but never answers `Run`: the
+/// wire view of a cold simulation that outlasts `wire_timeout`.
+fn stalling_worker() -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("fake worker binds");
+    let addr = listener.local_addr().expect("fake worker address");
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { continue };
+            std::thread::spawn(move || loop {
+                match wire::read_msg(&mut stream) {
+                    Ok(Msg::Health) => {
+                        let ok = Msg::HealthOk { worker_id: addr.to_string(), draining: false };
+                        if wire::write_msg(&mut stream, &ok).is_err() {
+                            return;
+                        }
+                    }
+                    Ok(Msg::Run { .. }) => {
+                        // Took the request; hold it until the peer gives up.
+                        let _ = stream.read_to_end(&mut Vec::new());
+                        return;
+                    }
+                    _ => return,
+                }
+            });
+        }
+    });
+    addr
+}
+
+#[test]
+fn slow_worker_gets_504_and_stays_healthy() {
+    let worker = stalling_worker();
+    let config = CoordinatorConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: vec![worker.to_string()],
+        handlers: 2,
+        request_timeout: Duration::from_millis(1500),
+        wire_timeout: Duration::from_millis(200),
+        probe_interval: Duration::from_millis(100),
+        ..CoordinatorConfig::default()
+    };
+    let coordinator = Coordinator::bind(config).expect("coordinator binds");
+    let addr = coordinator.addr();
+
+    let spec = mixed_request(31, 0);
+    let response = http().post(addr, "/run", spec.to_json().as_bytes()).expect("request completes");
+    assert_eq!(
+        response.status,
+        504,
+        "a worker still working past wire_timeout is slow, not dead: {}",
+        response.text()
+    );
+    assert_eq!(
+        coordinator.handle().worker_health(),
+        [(worker.to_string(), true)],
+        "a slow worker must not be demoted"
+    );
+    assert_eq!(coordinator.handle().failovers(), 0);
+    let metrics = http().get(addr, "/metrics").expect("metrics fetch");
+    let samples = parse_prometheus(metrics.text().as_ref()).expect("metrics parse strictly");
+    let value = |name: &str| samples.iter().find(|s| s.name == name).map(|s| s.value);
+    assert_eq!(value("cluster_worker_failures_total"), Some(0.0));
+    assert_eq!(value("cluster_retries_exhausted_total"), Some(0.0));
+
+    shutdown(&coordinator.handle(), addr);
+    coordinator.join();
 }
 
 /// `POST /shutdown` if the coordinator still answers; fall back to the

@@ -26,7 +26,9 @@
 //! `--cluster-smoke` is the coordinator equivalent: a fixed spec set is
 //! computed in-process and every routed response must be byte-identical,
 //! carry an `X-Worker` attribution, repeat as a shard-local cache hit,
-//! and leave behind strictly parseable cluster metrics. `--shutdown`
+//! and leave behind strictly parseable cluster metrics, including the
+//! shared front-end families (`cluster_http_requests_total` and a nonzero
+//! `cluster_latency_microseconds_count`). `--shutdown`
 //! POSTs `/shutdown` and exits.
 
 use std::net::SocketAddr;
@@ -248,20 +250,14 @@ fn smoke(opts: &Options) {
     let expected = request.execute();
     let spec = request.to_json();
 
-    let first = match http.post(addr, "/run", spec.as_bytes()) {
-        Ok(resp) => resp,
-        Err(e) => fail(&format!("first request failed: {e}")),
-    };
+    let first = must(http.post(addr, "/run", spec.as_bytes()), "first request");
     if first.status != 200 {
         fail(&format!("first request: expected 200, got {} ({})", first.status, first.text()));
     }
     if first.body != expected.as_bytes() {
         fail("first response body differs from the figure binary's output");
     }
-    let second = match http.post(addr, "/run", spec.as_bytes()) {
-        Ok(resp) => resp,
-        Err(e) => fail(&format!("second request failed: {e}")),
-    };
+    let second = must(http.post(addr, "/run", spec.as_bytes()), "second request");
     let label = second.header("x-cache").unwrap_or("none").to_string();
     if second.status != 200 || second.body != expected.as_bytes() {
         fail(&format!(
@@ -273,16 +269,7 @@ fn smoke(opts: &Options) {
     if !label.starts_with("hit-") {
         fail(&format!("second request was not served from the cache (X-Cache: {label})"));
     }
-    let metrics = match http.get(addr, "/metrics") {
-        Ok(resp) => resp,
-        Err(e) => fail(&format!("metrics request failed: {e}")),
-    };
-    // `/metrics` is Prometheus text; the strict parser doubles as a
-    // format-validity gate in CI.
-    let samples = match hbc_serve::metrics::parse_prometheus(&metrics.text()) {
-        Ok(samples) => samples,
-        Err(e) => fail(&format!("metrics body is not valid Prometheus text: {e}")),
-    };
+    let samples = metrics_samples(&http, addr);
     let hits: f64 =
         samples.iter().filter(|s| s.name == "serve_cache_hits_total").map(|s| s.value).sum();
     if samples.iter().all(|s| s.name != "serve_cache_hits_total") {
@@ -294,10 +281,7 @@ fn smoke(opts: &Options) {
     let hits = hits as u64;
     // Capture the span trace: every line must be a JSON object naming a
     // registered stage. Saved for CI to archive as an artifact.
-    let trace = match http.get(addr, "/trace") {
-        Ok(resp) => resp,
-        Err(e) => fail(&format!("trace request failed: {e}")),
-    };
+    let trace = must(http.get(addr, "/trace"), "trace request");
     let trace_text = trace.text();
     let mut spans = 0usize;
     for line in trace_text.lines() {
@@ -341,10 +325,7 @@ fn cluster_smoke(opts: &Options) {
         let request = mixed_request(opts.seed, index);
         let expected = request.execute();
         let spec = request.to_json();
-        let first = match http.post(addr, "/run", spec.as_bytes()) {
-            Ok(resp) => resp,
-            Err(e) => fail(&format!("request {index} failed: {e}")),
-        };
+        let first = must(http.post(addr, "/run", spec.as_bytes()), &format!("request {index}"));
         if first.status != 200 {
             fail(&format!(
                 "request {index}: expected 200, got {} ({})",
@@ -361,10 +342,8 @@ fn cluster_smoke(opts: &Options) {
         };
         // Rendezvous routing sends the identical spec to the same worker,
         // so the repeat must be a shard-local cache hit.
-        let second = match http.post(addr, "/run", spec.as_bytes()) {
-            Ok(resp) => resp,
-            Err(e) => fail(&format!("repeat of request {index} failed: {e}")),
-        };
+        let second =
+            must(http.post(addr, "/run", spec.as_bytes()), &format!("repeat of request {index}"));
         let label = second.header("x-cache").unwrap_or("none");
         if second.status != 200 || second.body != expected.as_bytes() {
             fail(&format!("repeat of request {index}: status {}", second.status));
@@ -375,14 +354,7 @@ fn cluster_smoke(opts: &Options) {
         bytes += expected.len();
         workers.insert(worker);
     }
-    let metrics = match http.get(addr, "/metrics") {
-        Ok(resp) => resp,
-        Err(e) => fail(&format!("metrics request failed: {e}")),
-    };
-    let samples = match hbc_serve::metrics::parse_prometheus(&metrics.text()) {
-        Ok(samples) => samples,
-        Err(e) => fail(&format!("metrics body is not valid Prometheus text: {e}")),
-    };
+    let samples = metrics_samples(&http, addr);
     let forwarded: f64 =
         samples.iter().filter(|s| s.name == "cluster_forwarded_total").map(|s| s.value).sum();
     if forwarded < 8.0 {
@@ -392,6 +364,17 @@ fn cluster_smoke(opts: &Options) {
         samples.iter().filter(|s| s.name == "cluster_worker_healthy" && s.value == 1.0).count();
     if healthy == 0 {
         fail("no worker is marked healthy in /metrics");
+    }
+    // The front end's shared families, under the coordinator's prefix.
+    if samples.iter().all(|s| s.name != "cluster_http_requests_total") {
+        fail("metrics response is missing cluster_http_requests_total");
+    }
+    let latency_count = samples
+        .iter()
+        .find(|s| s.name == "cluster_latency_microseconds_count")
+        .map_or(0.0, |s| s.value);
+    if latency_count == 0.0 {
+        fail("cluster_latency_microseconds_count is zero after served requests");
     }
     println!(
         "hbc-load cluster-smoke: ok ({bytes} payload bytes over {} worker(s), \
@@ -467,6 +450,19 @@ fn usage(msg: &str) -> ! {
          [--timeout-ms N] [--out PATH|none] [--smoke] [--cluster-smoke] [--shutdown]"
     );
     std::process::exit(2);
+}
+
+/// The response, or a failed gate naming `what`.
+fn must<T, E: std::fmt::Display>(result: Result<T, E>, what: &str) -> T {
+    result.unwrap_or_else(|e| fail(&format!("{what} failed: {e}")))
+}
+
+/// `GET /metrics`, checked as strict Prometheus text: the parser doubles
+/// as a format-validity gate in CI.
+fn metrics_samples(http: &HttpClient, addr: SocketAddr) -> Vec<hbc_serve::metrics::Sample> {
+    let metrics = must(http.get(addr, "/metrics"), "metrics request");
+    hbc_serve::metrics::parse_prometheus(&metrics.text())
+        .unwrap_or_else(|e| fail(&format!("metrics body is not valid Prometheus text: {e}")))
 }
 
 fn fail(msg: &str) -> ! {

@@ -10,10 +10,16 @@
 //! * [`hash`] / [`cache`] — SHA-256 content addressing over canonical
 //!   specs, an in-memory LRU, and on-disk persistence under
 //!   `results/cache/`, so identical requests never re-simulate;
-//! * [`http`] / [`server`] — a std-only HTTP/1.1 server on `TcpListener`
-//!   with a fixed worker pool, a bounded admission queue (429 on
-//!   overload), single-flight coalescing of concurrent identical
-//!   requests, per-request timeouts, and graceful drain on shutdown;
+//! * [`http`] / [`frontend`] — a std-only HTTP/1.1 front end on
+//!   `TcpListener`, generic over a [`frontend::Backend`]: a fixed handler
+//!   pool, a bounded admission queue (429 on overload), per-request
+//!   timeouts, graceful drain (503), the shared routes and the shared
+//!   Prometheus families. The `hbc-cluster` coordinator runs the same
+//!   front end over its routing backend;
+//! * [`server`] — the [`server::LocalBackend`] (result cache,
+//!   single-flight coalescing of concurrent identical requests, and the
+//!   simulation drivers) behind that front end, and the one local run
+//!   path the `hbc-cluster` worker shares;
 //! * [`metrics`] — request/cache/queue/latency counters and per-stage
 //!   quantiles in the Prometheus text format at `GET /metrics` (legacy
 //!   `hbc-probe` registry JSON at `GET /metrics.json`);
@@ -44,6 +50,7 @@
 
 pub mod cache;
 pub mod client;
+pub mod frontend;
 pub mod hash;
 pub mod http;
 pub mod json;
@@ -56,12 +63,13 @@ use std::sync::{Mutex, MutexGuard};
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 ///
-/// The service must not let one poisoned lock wedge every later request:
-/// all shared state guarded here (cache LRU, metrics histogram, admission
-/// queue) stays internally consistent under panic because each critical
-/// section completes its writes before leaving, so continuing with the
-/// inner value is sound.
-pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+/// A service must not let one poisoned lock wedge every later request:
+/// all shared state guarded here and in `hbc-cluster` (cache LRU, metrics
+/// histograms, admission queue, in-flight windows, connection registry)
+/// stays internally consistent under panic because each critical section
+/// completes its writes before leaving, so continuing with the inner
+/// value is sound.
+pub fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     match mutex.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),

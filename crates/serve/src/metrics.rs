@@ -5,11 +5,13 @@
 //! count/sum/min/max, power-of-two buckets) under a mutex, touched once
 //! per response. Two snapshot renderings exist:
 //!
-//! * `GET /metrics` — [`Metrics::to_prometheus`], the Prometheus text
+//! * `GET /metrics` — [`Metrics::render_prometheus`], the Prometheus text
 //!   exposition format: `_total` counters, queue gauges, and summaries
 //!   with p50/p95/p99 `quantile` labels for end-to-end latency and for
-//!   every span stage. [`parse_prometheus`] is the strict reader the
-//!   tests (and the load generator's smoke gate) validate bodies with.
+//!   every span stage, under the front end's `serve` or `cluster` prefix,
+//!   with the backend's own families spliced in. [`parse_prometheus`] is
+//!   the strict reader the tests (and the load generator's smoke gates)
+//!   validate bodies with.
 //! * `GET /metrics.json` — [`Metrics::to_registry`] into a
 //!   [`ProbeRegistry`] and its deterministic JSON — the same format,
 //!   naming scheme, and `probe-naming` lint coverage as the simulator's
@@ -25,11 +27,12 @@
 //! m.cache_hits_memory.inc();
 //! let json = m.to_registry().to_json();
 //! assert!(json.contains("\"serve.cache.hits.memory\":1"));
-//! let text = m.to_prometheus(0, 0, &Default::default());
+//! let text = m.render_prometheus("serve", 0, &Default::default(), |_| {});
 //! assert!(text.contains("serve_http_requests_total 1"));
 //! ```
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -54,9 +57,12 @@ impl AtomicCounter {
     }
 }
 
-/// Shared service counters. One instance lives behind an `Arc` in the
-/// server's shared state; every field is independently updatable from any
-/// worker without locking.
+/// Shared service counters. One instance lives behind an `Arc` shared by
+/// a [`crate::frontend::Frontend`] (requests, responses, queue, latency)
+/// and, in `hbc-serve` and the cluster worker, its
+/// [`crate::server::LocalBackend`] (cache and execution counters, which
+/// stay zero behind the cluster coordinator). Every field is
+/// independently updatable from any thread without locking.
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// HTTP requests that reached a handler (parsed request line).
@@ -69,7 +75,9 @@ pub struct Metrics {
     pub responses_not_found: AtomicCounter,
     /// `429` responses (admission queue full).
     pub responses_rejected: AtomicCounter,
-    /// `503` responses (shutting down).
+    /// `502` responses (no cluster worker answered).
+    pub responses_bad_gateway: AtomicCounter,
+    /// `503` responses (draining).
     pub responses_unavailable: AtomicCounter,
     /// `504` responses (per-request timeout).
     pub responses_timeout: AtomicCounter,
@@ -134,95 +142,54 @@ impl Metrics {
         reg
     }
 
-    /// Renders the Prometheus text exposition format: every counter as a
-    /// `_total` family, the queue gauges, and `summary` families (with
-    /// p50/p95/p99 `quantile` labels, `_sum`, and `_count`) for the
-    /// end-to-end latency and for each span stage in `stages`.
-    ///
-    /// `cache_evictions` comes from the result cache and `span_dropped`
-    /// from the span ring's drop accounting — both own their
-    /// counts; `stages` from [`crate::spans::ServeSpans::stage_histograms`].
-    pub fn to_prometheus(
+    /// Renders the Prometheus text exposition format for a front end whose
+    /// families are named `{prefix}_…`: requests, responses by status,
+    /// then whatever `backend` writes, the queue gauges, span drops, and
+    /// `summary` families (p50/p95/p99 `quantile` labels, `_sum`,
+    /// `_count`) for end-to-end latency and for each span stage.
+    pub fn render_prometheus(
         &self,
-        cache_evictions: u64,
+        prefix: &str,
         span_dropped: u64,
         stages: &BTreeMap<&'static str, Histogram>,
+        backend: impl FnOnce(&mut String),
     ) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
-        let family = |out: &mut String, name: &str, kind: &str, help: &str| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-        };
-
-        family(
+        let requests = format!("{prefix}_http_requests_total");
+        write_family(
             &mut out,
-            "serve_http_requests_total",
+            &requests,
             "counter",
             "HTTP requests that reached a handler (parsed request line).",
         );
-        let _ = writeln!(out, "serve_http_requests_total {}", self.requests.get());
+        let _ = writeln!(out, "{requests} {}", self.requests.get());
 
-        family(&mut out, "serve_http_responses_total", "counter", "Responses by HTTP status code.");
+        let responses = format!("{prefix}_http_responses_total");
+        write_family(&mut out, &responses, "counter", "Responses by HTTP status code.");
         for (status, counter) in [
             ("200", &self.responses_ok),
             ("400", &self.responses_bad_request),
             ("404", &self.responses_not_found),
             ("429", &self.responses_rejected),
             ("500", &self.responses_error),
+            ("502", &self.responses_bad_gateway),
             ("503", &self.responses_unavailable),
             ("504", &self.responses_timeout),
         ] {
-            let _ = writeln!(
-                out,
-                "serve_http_responses_total{{status=\"{status}\"}} {}",
-                counter.get()
-            );
+            let _ = writeln!(out, "{responses}{{status=\"{status}\"}} {}", counter.get());
         }
 
-        family(&mut out, "serve_cache_hits_total", "counter", "Result-cache hits by serving tier.");
-        let _ = writeln!(
-            out,
-            "serve_cache_hits_total{{tier=\"memory\"}} {}",
-            self.cache_hits_memory.get()
-        );
-        let _ =
-            writeln!(out, "serve_cache_hits_total{{tier=\"disk\"}} {}", self.cache_hits_disk.get());
-        family(
-            &mut out,
-            "serve_cache_misses_total",
-            "counter",
-            "Cache misses (a simulation was started).",
-        );
-        let _ = writeln!(out, "serve_cache_misses_total {}", self.cache_misses.get());
-        family(
-            &mut out,
-            "serve_cache_coalesced_total",
-            "counter",
-            "Requests coalesced onto an identical in-flight simulation.",
-        );
-        let _ = writeln!(out, "serve_cache_coalesced_total {}", self.coalesced.get());
-        family(
-            &mut out,
-            "serve_cache_evictions_total",
-            "counter",
-            "Memory-tier LRU entries evicted by inserts.",
-        );
-        let _ = writeln!(out, "serve_cache_evictions_total {cache_evictions}");
-        family(
-            &mut out,
-            "serve_exec_runs_total",
-            "counter",
-            "Simulations actually executed by the engine.",
-        );
-        let _ = writeln!(out, "serve_exec_runs_total {}", self.exec_runs.get());
+        backend(&mut out);
 
-        family(&mut out, "serve_queue_depth", "gauge", "Current admission-queue depth.");
-        let _ = writeln!(out, "serve_queue_depth {}", self.queue_depth.load(Ordering::Relaxed));
-        family(&mut out, "serve_queue_peak", "gauge", "High-water mark of the admission queue.");
-        let _ = writeln!(out, "serve_queue_peak {}", self.queue_peak.load(Ordering::Relaxed));
+        for (name, help, gauge) in [
+            ("queue_depth", "Current admission-queue depth.", &self.queue_depth),
+            ("queue_peak", "High-water mark of the admission queue.", &self.queue_peak),
+        ] {
+            write_family(&mut out, &format!("{prefix}_{name}"), "gauge", help);
+            let _ = writeln!(out, "{prefix}_{name} {}", gauge.load(Ordering::Relaxed));
+        }
 
-        family(
+        write_family(
             &mut out,
             "hbc_span_dropped_total",
             "counter",
@@ -230,41 +197,79 @@ impl Metrics {
         );
         let _ = writeln!(out, "hbc_span_dropped_total {span_dropped}");
 
-        // `labels` is either empty or a rendered `key="value"` pair to
-        // prepend before the quantile label.
-        let summary = |out: &mut String, name: &str, labels: &str, h: &Histogram| {
-            let lead = if labels.is_empty() { String::new() } else { format!("{labels},") };
-            for (q, tag) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-                let _ = writeln!(out, "{name}{{{lead}quantile=\"{tag}\"}} {}", h.quantile(q));
-            }
-            let braced = if labels.is_empty() { String::new() } else { format!("{{{labels}}}") };
-            let _ = writeln!(out, "{name}_sum{braced} {}", h.sum());
-            let _ = writeln!(out, "{name}_count{braced} {}", h.count());
-        };
-        family(
+        let latency = format!("{prefix}_latency_microseconds");
+        write_family(
             &mut out,
-            "serve_latency_microseconds",
+            &latency,
             "summary",
             "End-to-end request latency (accept to response written), including queueing.",
         );
-        summary(&mut out, "serve_latency_microseconds", "", &lock(&self.latency_micros).clone());
+        write_summary(&mut out, &latency, "", &lock(&self.latency_micros).clone());
 
-        family(
-            &mut out,
-            "serve_stage_duration_microseconds",
-            "summary",
-            "Span duration per request lifecycle stage.",
-        );
-        for (stage, h) in stages {
-            summary(
-                &mut out,
-                "serve_stage_duration_microseconds",
-                &format!("stage=\"{stage}\""),
-                h,
-            );
+        let stage = format!("{prefix}_stage_duration_microseconds");
+        write_family(&mut out, &stage, "summary", "Span duration per request lifecycle stage.");
+        for (name, h) in stages {
+            write_summary(&mut out, &stage, &format!("stage=\"{name}\""), h);
         }
         out
     }
+
+    /// Writes the result-cache and execution families of a local backend.
+    pub fn write_cache_families(&self, out: &mut String, cache_evictions: u64) {
+        write_family(
+            out,
+            "serve_cache_hits_total",
+            "counter",
+            "Result-cache hits by serving tier.",
+        );
+        for (tier, hits) in [("memory", &self.cache_hits_memory), ("disk", &self.cache_hits_disk)] {
+            let _ = writeln!(out, "serve_cache_hits_total{{tier=\"{tier}\"}} {}", hits.get());
+        }
+        for (name, help, value) in [
+            (
+                "serve_cache_misses_total",
+                "Cache misses (a simulation was started).",
+                self.cache_misses.get(),
+            ),
+            (
+                "serve_cache_coalesced_total",
+                "Requests coalesced onto an identical in-flight simulation.",
+                self.coalesced.get(),
+            ),
+            (
+                "serve_cache_evictions_total",
+                "Memory-tier LRU entries evicted by inserts.",
+                cache_evictions,
+            ),
+            (
+                "serve_exec_runs_total",
+                "Simulations actually executed by the engine.",
+                self.exec_runs.get(),
+            ),
+        ] {
+            write_family(out, name, "counter", help);
+            let _ = writeln!(out, "{name} {value}");
+        }
+    }
+}
+
+/// Writes the `# HELP` and `# TYPE` lines that open a family.
+pub fn write_family(out: &mut String, name: &str, kind: &str, help: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+}
+
+/// Writes one summary's p50/p95/p99 samples, `_sum` and `_count`.
+/// `labels` is empty or a rendered `key="value"` pair placed before the
+/// quantile label.
+pub fn write_summary(out: &mut String, name: &str, labels: &str, h: &Histogram) {
+    let lead = if labels.is_empty() { String::new() } else { format!("{labels},") };
+    for (q, tag) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
+        let _ = writeln!(out, "{name}{{{lead}quantile=\"{tag}\"}} {}", h.quantile(q));
+    }
+    let braced = if labels.is_empty() { String::new() } else { format!("{{{labels}}}") };
+    let _ = writeln!(out, "{name}_sum{braced} {}", h.sum());
+    let _ = writeln!(out, "{name}_count{braced} {}", h.count());
 }
 
 /// One parsed Prometheus sample line: `name{labels} value`.
@@ -433,7 +438,7 @@ mod tests {
         h.record(900);
         stages.insert("serve.parse", h);
 
-        let text = m.to_prometheus(3, 2, &stages);
+        let text = m.render_prometheus("serve", 2, &stages, |out| m.write_cache_families(out, 3));
         let samples = parse_prometheus(&text).expect("body parses");
         let find = |name: &str| samples.iter().find(|s| s.name == name).map(|s| s.value);
         assert_eq!(find("serve_http_requests_total"), Some(1.0));
