@@ -3,7 +3,7 @@
 //! The simulator's core contract — every simulation is a pure function of
 //! (configuration, seed), served by a process that never deadlocks and
 //! never silently drops a counter — is not something the compiler checks.
-//! This crate does, with twelve rules over a small semantic model of the
+//! This crate does, with eleven rules over a small semantic model of the
 //! workspace:
 //!
 //! * [`lexer`] turns each file into a token stream with line numbers and
@@ -52,7 +52,7 @@ pub struct RuleInfo {
     pub explain: &'static str,
 }
 
-/// The twelve rules, in the order `run_all` executes them. This table is the
+/// The eleven rules, in the order `run_all` executes them. This table is the
 /// single source of truth: the crate docs, the CLI's `explain`, the JSON
 /// schema's `rules` array, and the README table all derive from it.
 pub const RULES: &[RuleInfo] = &[
@@ -138,7 +138,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "probe-coverage",
-        summary: "probe registrations/reads cross-check; span stages must be in STAGE_NAMES",
+        summary: "probe registrations/reads cross-check",
         explain: "A counter registered but never incremented reads zero in /metrics forever; \
                   a read of a name nothing registers silently yields nothing. The rule \
                   cross-references every literal probe name in the workspace: registration \
@@ -146,13 +146,8 @@ pub const RULES: &[RuleInfo] = &[
                   (.inc/.add/.set/.record) or bind it for later writes, exact reads \
                   (get(\"…\")/get_histogram(\"…\")) and prefix reads (scoped(\"…\")) must \
                   match a registered name, and a name must not be registered as a counter \
-                  but read as a histogram (or vice versa). Span stages get the same \
-                  closed-world check: a literal stage at an enter(\"…\")/record_at(\"…\")/\
-                  record_since(\"…\")/record_linked(\"…\") site must appear in the \
-                  STAGE_NAMES table, which is \
-                  read straight from its initializer — an unregistered stage panics debug \
-                  builds at the recording site. Runtime-built names are outside the scan; \
-                  audit those reads with hbc-allow.",
+                  but read as a histogram (or vice versa). Runtime-built names are outside \
+                  the scan; audit those reads with hbc-allow.",
     },
     RuleInfo {
         name: "event-horizon",
@@ -177,19 +172,6 @@ pub const RULES: &[RuleInfo] = &[
                   identifier is a finding. Fix by keeping the value in its newtype or u64, \
                   converting with u64::from/try_from at the boundary, or auditing a \
                   genuinely bounded cast with hbc-allow.",
-    },
-    RuleInfo {
-        name: "wire-coverage",
-        summary: "every wire-protocol frame kind (Msg variant) is exercised by a test",
-        explain: "The cluster wire protocol is a closed enum: each Msg variant is one frame \
-                  kind with its own encode/decode path. The property suite's random-message \
-                  generator and round-trip lists are maintained by hand, so a newly added \
-                  frame kind can compile and ship without ever passing through the codec \
-                  under test — its decoder path stays dead until a peer sends it in \
-                  production. The rule requires every variant of a non-test `enum Msg` to be \
-                  mentioned as `Msg::<Variant>` on at least one test line (construction, \
-                  match, or assertion all count). Add new kinds to the wire property suite, \
-                  or audit a deliberately untested variant with hbc-allow.",
     },
 ];
 
@@ -262,7 +244,6 @@ pub fn run_all(
     findings.extend(rules::probe_coverage::check(&model));
     findings.extend(rules::event_horizon::check(&model));
     findings.extend(rules::cast_truncation::check(&model));
-    findings.extend(rules::wire_coverage::check(&model));
     findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     findings
 }
@@ -331,7 +312,7 @@ mod tests {
 
     #[test]
     fn rules_table_is_complete_and_consistent() {
-        assert_eq!(RULES.len(), 12);
+        assert_eq!(RULES.len(), 11);
         // Names are unique, kebab-case, and resolvable.
         for (i, rule) in RULES.iter().enumerate() {
             assert!(rule.name.chars().all(|c| c.is_ascii_lowercase() || c == '-'));

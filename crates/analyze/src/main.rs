@@ -8,16 +8,17 @@
 //! * `cargo run -p hbc-analyze -- baseline` — rewrite the panic-path
 //!   baseline from the current source (use after reducing panic sites).
 //! * `cargo run -p hbc-analyze -- explain <rule>` — print a rule's full
-//!   explanation; with no rule, list all twelve.
+//!   explanation; with no rule, list all eleven.
 //! * `cargo run -p hbc-analyze -- allows` — list every `hbc-allow` /
 //!   `hbc-allow-file` audit site with its justification; exits 1 if any
-//!   site lacks one.
+//!   site lacks one or names a rule missing from `RULES`.
 //!
 //! All commands accept an optional `--root <dir>`; by default the
 //! workspace root is found by walking up from the current directory.
 
 use hbc_analyze::model::Model;
 use hbc_analyze::rules::panic_path::{self, Baseline};
+use hbc_analyze::source::{Annotation, SourceFile};
 use hbc_analyze::{findings_to_json, rule_info, run_all, workspace, RULES};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -196,15 +197,27 @@ fn explain(rule: Option<&str>) -> ExitCode {
     }
 }
 
+/// The rules `ann` names that are not in [`RULES`]. Such an allow
+/// suppresses nothing — its rule was deleted or is misspelt — and only
+/// misleads a reader about what is audited.
+fn unknown_rules(ann: &Annotation) -> Vec<&str> {
+    ann.rules.iter().map(String::as_str).filter(|r| rule_info(r).is_none()).collect()
+}
+
 /// `allows`: every audit site in the workspace, with its justification.
-/// A site with no written justification is an error — the audit trail is
-/// the point of the annotation.
-fn allows(files: &[hbc_analyze::source::SourceFile]) -> ExitCode {
+/// A site with no written justification, or one naming an unknown rule,
+/// is an error — the audit trail is the point of the annotation.
+fn allows(files: &[SourceFile]) -> ExitCode {
     let mut total = 0usize;
     let mut unjustified = 0usize;
+    let mut unknown = 0usize;
     for file in files {
         for ann in &file.annotations {
             total += 1;
+            for rule in unknown_rules(ann) {
+                unknown += 1;
+                println!("{}:{}: unknown rule `{rule}`", file.path.display(), ann.line);
+            }
             let scope = if ann.file_level { "file" } else { "line" };
             let justification = if ann.justification.is_empty() {
                 unjustified += 1;
@@ -220,10 +233,29 @@ fn allows(files: &[hbc_analyze::source::SourceFile]) -> ExitCode {
             );
         }
     }
-    println!("hbc-analyze: {total} allow site(s), {unjustified} without justification");
-    if unjustified > 0 {
+    println!(
+        "hbc-analyze: {total} allow site(s), {unjustified} without justification, \
+         {unknown} unknown rule name(s)"
+    );
+    if unjustified > 0 || unknown > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn allows_naming_a_rule_missing_from_the_table_are_flagged() {
+        let text = "// hbc-allow: determinism, wire-coverage (the second rule is gone)\n\
+                    use std::time::Instant;\n\
+                    // hbc-allow: units (known rule)\n\
+                    fn f() {}\n";
+        let file = SourceFile::parse(PathBuf::from("f.rs"), "hbc-mem", text, false);
+        let unknown: Vec<Vec<&str>> = file.annotations.iter().map(unknown_rules).collect();
+        assert_eq!(unknown, [vec!["wire-coverage"], vec![]]);
     }
 }

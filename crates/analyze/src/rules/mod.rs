@@ -1,4 +1,4 @@
-//! The twelve analysis rules. The authoritative name/summary/explanation
+//! The eleven analysis rules. The authoritative name/summary/explanation
 //! table is [`crate::RULES`]; each module here implements one entry.
 
 pub mod cast_truncation;
@@ -12,4 +12,3 @@ pub mod probe_coverage;
 pub mod probe_naming;
 pub mod serve_io_panic;
 pub mod units;
-pub mod wire_coverage;

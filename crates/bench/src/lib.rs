@@ -15,8 +15,7 @@
 //!   every value;
 //! * `--spans out.jsonl` — write per-phase span records (warm-up, measured
 //!   run, report, plus the exec engine's steal/run/merge) to a JSONL file
-//!   after the run. Spans carry data only in `--features span` builds and
-//!   never change the figures;
+//!   after the run. Spans never change the figures;
 //! * (default) — 60 K-instruction windows, all nine benchmarks.
 //!
 //! The crate also ships the `hbc-bench` CLI whose `compare` subcommand is
@@ -112,22 +111,12 @@ const SPAN_CAPACITY: usize = 65_536;
 /// Runs `f` with the span sink installed when the user asked for
 /// `--spans out.jsonl`, then writes the recorded spans to that file.
 ///
-/// Without the flag this is exactly `f()`. With the flag but without the
-/// `span` cargo feature, the file is still written (empty) and a note
-/// explains how to get data, mirroring how `probe_report` degrades. The
-/// sink is process-global, so figure binaries install it exactly once,
-/// around their whole run.
+/// Without the flag this is exactly `f()`. The sink is process-global, so
+/// figure binaries install it exactly once, around their whole run.
 pub fn with_spans<R>(params: &ExpParams, f: impl FnOnce() -> R) -> R {
     let Some(path) = &params.spans_out else {
         return f();
     };
-    if !cfg!(feature = "span") {
-        eprintln!(
-            "note: built without the `span` feature; {} will be empty (rebuild with \
-             `--features span` for span data)",
-            path.display()
-        );
-    }
     let log = hbc_core::spans::install(SPAN_CAPACITY);
     let out = f();
     hbc_core::spans::uninstall();

@@ -30,7 +30,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hbc_probe::Histogram;
+use hbc_probe::{Histogram, Stage};
 use hbc_serve::frontend::{
     Backend, Frontend, FrontendConfig, FrontendHandle, RunReply, Served, SpanCtx,
 };
@@ -414,7 +414,7 @@ impl Backend for ClusterBackend {
         let mut plan: Vec<usize> = order.iter().filter(healthy).copied().collect();
         plan.extend(order.iter().filter(|i| !healthy(i)));
         spans.record_at(
-            "cluster.route",
+            Stage::ClusterRoute,
             trace.request,
             trace.parent,
             route_start_us,
@@ -442,7 +442,7 @@ impl Backend for ClusterBackend {
             let outcome = forward_run(&target.addr, &run_msg, cluster.wire_timeout, deadline);
             let micros = u64::try_from(forward_start.elapsed().as_micros()).unwrap_or(u64::MAX);
             spans.record_linked(
-                "cluster.forward",
+                Stage::ClusterForward,
                 forward_span,
                 trace.request,
                 trace.parent,
@@ -608,7 +608,7 @@ mod tests {
         metrics.requests.inc();
         backend.inner.targets[0].forwarded.inc();
         backend.inner.targets[1].healthy.store(false, Ordering::SeqCst);
-        spans.record_at("cluster.route", 1, 0, 0, 5);
+        spans.record_at(Stage::ClusterRoute, 1, 0, 0, 5);
         let text = render_metrics(&metrics, &spans, &backend);
         let samples = parse_prometheus(&text).expect("strict parse succeeds");
         let healthy: Vec<f64> = samples

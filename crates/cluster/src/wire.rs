@@ -137,7 +137,9 @@ pub enum Msg {
 }
 
 impl Msg {
-    fn kind(&self) -> u8 {
+    /// The frame's kind byte. The `match` is exhaustive, so every variant
+    /// has one.
+    pub fn kind(&self) -> u8 {
         match self {
             Msg::Run { .. } => 1,
             Msg::RunOk { .. } => 2,

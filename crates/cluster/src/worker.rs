@@ -23,6 +23,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use hbc_probe::Stage;
 use hbc_serve::frontend::{Served, SpanCtx};
 use hbc_serve::lock;
 use hbc_serve::metrics::AtomicCounter;
@@ -299,9 +300,9 @@ fn serve_conn(shared: &Arc<WorkerShared>, mut stream: TcpStream) {
         let frame = wire::encode(&reply);
         if let Some((request, parent, exec_span, start_us)) = run_spans {
             let end_us = spans.now_us();
-            spans.record_at("serve.serialize", request, exec_span, serialize_start_us, end_us);
+            spans.record_at(Stage::ServeSerialize, request, exec_span, serialize_start_us, end_us);
             spans.record_linked(
-                "cluster.worker_execute",
+                Stage::ClusterWorkerExecute,
                 exec_span,
                 request,
                 parent,
@@ -344,8 +345,7 @@ fn stats_pairs(shared: &WorkerShared) -> Vec<(String, u64)> {
         ("worker.panics".to_string(), shared.panics.get()),
         ("worker.served".to_string(), shared.served.get()),
     ];
-    // hbc-allow: probe-coverage (a span-stage histogram lookup, not a registry read; the stage is in STAGE_NAMES)
-    if let Some(h) = shared.spans.stage_histograms().get("cluster.worker_execute") {
+    if let Some(h) = shared.spans.stage_histograms().get(&Stage::ClusterWorkerExecute) {
         pairs.push(("worker.execute_p50_us".to_string(), h.quantile(0.5)));
         pairs.push(("worker.execute_p95_us".to_string(), h.quantile(0.95)));
         pairs.push(("worker.execute_p99_us".to_string(), h.quantile(0.99)));

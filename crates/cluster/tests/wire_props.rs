@@ -6,6 +6,8 @@
 //! `BadChecksum`; every version skew is `VersionMismatch`; and no input
 //! — structured or garbage — ever panics the decoder.
 
+use std::collections::BTreeSet;
+
 use hbc_cluster::wire::{self, Msg, TraceCtx, WireError, HEADER_LEN, MIN_VERSION, VERSION};
 use hbc_ptest::{check, Gen};
 
@@ -30,20 +32,42 @@ fn random_trace(g: &mut Gen) -> Option<TraceCtx> {
     }
 }
 
-/// A random message covering every frame kind.
+/// One message of each kind, every field empty; `random_msg` fills them.
+const PROTOTYPES: [Msg; 11] = [
+    Msg::Run { spec_json: String::new(), trace: None },
+    Msg::RunOk { cache: String::new(), spec_hash: String::new(), body: String::new() },
+    Msg::RunErr { status: 0, message: String::new() },
+    Msg::Health,
+    Msg::HealthOk { worker_id: String::new(), draining: false },
+    Msg::Stats,
+    Msg::StatsOk { pairs: Vec::new() },
+    Msg::Drain,
+    Msg::DrainOk { worker_id: String::new() },
+    Msg::Trace,
+    Msg::TraceOk { worker_id: String::new(), dropped: 0, jsonl: String::new() },
+];
+
+/// A random message of a random kind. The `match` has no `_` arm, so a
+/// new `Msg` variant does not compile until its fields are drawn here;
+/// it then also needs a prototype above and its kind in the pinned set of
+/// `random_messages_cover_every_frame_kind`.
 fn random_msg(g: &mut Gen) -> Msg {
-    match g.u32_in(1, 11) {
-        1 => Msg::Run { spec_json: random_string(g, 64), trace: random_trace(g) },
-        2 => Msg::RunOk {
+    match g.pick(&PROTOTYPES[..]) {
+        Msg::Run { .. } => Msg::Run { spec_json: random_string(g, 64), trace: random_trace(g) },
+        Msg::RunOk { .. } => Msg::RunOk {
             cache: random_string(g, 12),
             spec_hash: random_string(g, 64),
             body: random_string(g, 256),
         },
-        3 => Msg::RunErr { status: g.u32_in(100, 599) as u16, message: random_string(g, 64) },
-        4 => Msg::Health,
-        5 => Msg::HealthOk { worker_id: random_string(g, 24), draining: g.bool() },
-        6 => Msg::Stats,
-        7 => {
+        Msg::RunErr { .. } => {
+            Msg::RunErr { status: g.u32_in(100, 599) as u16, message: random_string(g, 64) }
+        }
+        Msg::Health => Msg::Health,
+        Msg::HealthOk { .. } => {
+            Msg::HealthOk { worker_id: random_string(g, 24), draining: g.bool() }
+        }
+        Msg::Stats => Msg::Stats,
+        Msg::StatsOk { .. } => {
             let n = g.usize_in(0, 8);
             let mut pairs = Vec::with_capacity(n);
             for _ in 0..n {
@@ -51,15 +75,26 @@ fn random_msg(g: &mut Gen) -> Msg {
             }
             Msg::StatsOk { pairs }
         }
-        8 => Msg::Drain,
-        9 => Msg::DrainOk { worker_id: random_string(g, 24) },
-        10 => Msg::Trace,
-        _ => Msg::TraceOk {
+        Msg::Drain => Msg::Drain,
+        Msg::DrainOk { .. } => Msg::DrainOk { worker_id: random_string(g, 24) },
+        Msg::Trace => Msg::Trace,
+        Msg::TraceOk { .. } => Msg::TraceOk {
             worker_id: random_string(g, 24),
             dropped: g.next_u64(),
             jsonl: random_string(g, 256),
         },
     }
+}
+
+/// The kind set is pinned here, not taken from the decoder, so a kind
+/// whose decode arm is missing is still drawn and fails the round trip.
+#[test]
+fn random_messages_cover_every_frame_kind() {
+    let every_kind: BTreeSet<u8> = (1..=11).collect();
+    assert_eq!(PROTOTYPES.iter().map(Msg::kind).collect::<BTreeSet<u8>>(), every_kind);
+    let mut g = Gen::from_case("wire.kinds", 0);
+    let drawn: BTreeSet<u8> = (0..500).map(|_| random_msg(&mut g).kind()).collect();
+    assert_eq!(drawn, every_kind, "500 draws must yield every frame kind");
 }
 
 #[test]

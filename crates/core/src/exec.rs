@@ -28,6 +28,7 @@
 //! an expensive cell does not straggle a whole static chunk) and buffer
 //! their results locally until the join.
 
+use hbc_probe::Stage;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The worker count used when a caller passes `jobs = 0` ("auto"): the
@@ -63,7 +64,7 @@ where
         return (0..cells)
             .map(|i| {
                 crate::spans::begin_request();
-                let _run = crate::spans::enter("exec.run");
+                let _run = crate::spans::enter(Stage::ExecRun);
                 cell(i)
             })
             .collect();
@@ -84,8 +85,8 @@ where
                             break;
                         }
                         crate::spans::begin_request();
-                        crate::spans::record_since("exec.steal", steal_start);
-                        let run = crate::spans::enter("exec.run");
+                        crate::spans::record_since(Stage::ExecSteal, steal_start);
+                        let run = crate::spans::enter(Stage::ExecRun);
                         done.push((i, cell(i)));
                         drop(run);
                     }
@@ -97,7 +98,7 @@ where
         // land in their slots only after the worker has finished; arrival
         // order is irrelevant because the slot is the cell index.
         crate::spans::begin_request();
-        let _merge = crate::spans::enter("exec.merge");
+        let _merge = crate::spans::enter(Stage::ExecMerge);
         for worker in workers {
             match worker.join() {
                 Ok(done) => {

@@ -2,7 +2,7 @@
 
 use hbc_cpu::{Core, CpuConfig, RunStats};
 use hbc_mem::{MemConfig, MemStats, MemSystem, PortModel};
-use hbc_probe::{ProbeExport, ProbeRegistry};
+use hbc_probe::{ProbeExport, ProbeRegistry, Stage};
 use hbc_workloads::{Benchmark, BenchmarkSpec, WorkloadGen};
 
 /// Default instructions simulated per configuration.
@@ -221,7 +221,7 @@ impl SimBuilder {
         // memoized per thread (`crate::warm`): every cell of a sweep shares
         // the same stream, only the hierarchy it touches differs.
         let mut core = {
-            let _span = crate::spans::enter("sim.warm_up");
+            let _span = crate::spans::enter(Stage::SimWarmUp);
             let gen = match &self.spec_override {
                 Some(spec) => {
                     let mut gen = WorkloadGen::from_spec(spec.clone(), self.seed);
@@ -255,7 +255,7 @@ impl SimBuilder {
             core
         };
         let run = {
-            let _span = crate::spans::enter("sim.measured");
+            let _span = crate::spans::enter(Stage::SimMeasured);
             core.run(self.instructions)
         };
         let probes = self.probes.then(|| {

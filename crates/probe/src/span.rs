@@ -11,20 +11,18 @@
 //! Like the rest of this crate, the types here are *clockless*: callers
 //! pass monotonic timestamps in (microseconds from an origin they choose).
 //! The simulator side derives them from an `Instant` origin confined to
-//! `hbc-core`'s feature-gated `spans` module; `hbc-serve` stamps spans from
+//! `hbc-core`'s `spans` module; `hbc-serve` stamps spans from
 //! its own process-start origin. Keeping the clock out of this crate keeps
 //! it usable from deterministic simulation code without ever touching the
 //! wall clock itself.
 //!
-//! Every stage name recorded here must appear in [`STAGE_NAMES`]; the
-//! `probe-coverage` lint in `hbc-analyze` cross-checks literal stage names
-//! at `enter(…)` / `record_at(…)` / `record_since(…)` call sites against
-//! that table, so a typo'd stage can't silently vanish from reports.
+//! A record's stage is a [`Stage`], a closed enum: a typo'd stage does not
+//! compile, so it can't silently become a separate series in reports.
 //!
 //! # Example
 //!
 //! ```
-//! use hbc_probe::{SpanLog, SpanRecord};
+//! use hbc_probe::{SpanLog, SpanRecord, Stage};
 //!
 //! let log = SpanLog::new(16);
 //! let request = log.next_request_id();
@@ -33,7 +31,7 @@
 //!     request,
 //!     span,
 //!     parent: 0,
-//!     stage: "serve.parse",
+//!     stage: Stage::ServeParse,
 //!     start_us: 10,
 //!     dur_us: 250,
 //! });
@@ -42,6 +40,7 @@
 //! ```
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 // Interior mutability is required for a shared ring written by server and
 // worker threads; spans are observability metadata, never simulation
@@ -49,38 +48,83 @@ use std::sync::atomic::{AtomicU64, Ordering};
 // hbc-allow: exec-merge (span ring holds observability metadata, not simulation results; sim output never reads it)
 use std::sync::Mutex;
 
-/// The registered stage-name table: every stage a span may be recorded
-/// under, across all three instrumented layers.
-///
-/// `hbc-analyze`'s `probe-coverage` rule checks literal stage names at
-/// span call sites against this table. Keep it sorted by layer.
-pub const STAGE_NAMES: &[&str] = &[
-    // hbc-serve request lifecycle, in order.
-    "serve.accept",
-    "serve.parse",
-    "serve.queue_wait",
-    "serve.cache_lookup",
-    "serve.single_flight_wait",
-    "serve.simulate",
-    "serve.serialize",
-    "serve.write",
-    // hbc-cluster coordinator/worker lifecycle.
-    "cluster.route",
-    "cluster.forward",
-    "cluster.worker_execute",
-    // hbc-exec parallel engine, per cell.
-    "exec.steal",
-    "exec.run",
-    "exec.merge",
-    // hbc-core figure drivers, per phase.
-    "sim.warm_up",
-    "sim.measured",
-    "figure.report",
-];
+/// Declares [`Stage`] from one `Variant => "dotted.name"` list, so each
+/// name is written once and [`Stage::ALL`] cannot miss a variant.
+macro_rules! stages {
+    ($($variant:ident => $name:literal,)*) => {
+        /// A span stage: every stage a span may be recorded under, across
+        /// all three instrumented layers. A closed enum, so a misspelt stage
+        /// is a compile error rather than a separate series in reports.
+        ///
+        /// Stages order by name (see the `Ord` impl), so maps keyed by
+        /// `Stage` list them alphabetically, as `/metrics` does.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Stage {
+            $(#[doc = concat!("`", $name, "`")] $variant,)*
+        }
 
-/// `true` when `stage` appears in [`STAGE_NAMES`].
-pub fn is_registered_stage(stage: &str) -> bool {
-    STAGE_NAMES.contains(&stage)
+        impl Stage {
+            /// Every stage, grouped by layer in declaration order.
+            pub const ALL: [Stage; [$($name),*].len()] = [$(Stage::$variant),*];
+
+            /// The stage's dotted name, as written to JSONL and `/metrics`.
+            pub const fn as_str(self) -> &'static str {
+                match self {
+                    $(Stage::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+stages! {
+    // hbc-serve request lifecycle, in order.
+    ServeAccept => "serve.accept",
+    ServeParse => "serve.parse",
+    ServeQueueWait => "serve.queue_wait",
+    ServeCacheLookup => "serve.cache_lookup",
+    ServeSingleFlightWait => "serve.single_flight_wait",
+    ServeSimulate => "serve.simulate",
+    ServeSerialize => "serve.serialize",
+    ServeWrite => "serve.write",
+    // hbc-cluster coordinator/worker lifecycle.
+    ClusterRoute => "cluster.route",
+    ClusterForward => "cluster.forward",
+    ClusterWorkerExecute => "cluster.worker_execute",
+    // hbc-exec parallel engine, per cell.
+    ExecSteal => "exec.steal",
+    ExecRun => "exec.run",
+    ExecMerge => "exec.merge",
+    // hbc-core figure drivers, per phase.
+    SimWarmUp => "sim.warm_up",
+    SimMeasured => "sim.measured",
+    FigureReport => "figure.report",
+}
+
+impl Stage {
+    /// The stage named `name`, or `None` for a name no stage has. For
+    /// validating span JSONL read back from outside the process.
+    pub fn from_name(name: &str) -> Option<Stage> {
+        Stage::ALL.into_iter().find(|s| s.as_str() == name)
+    }
+}
+
+impl Ord for Stage {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+impl PartialOrd for Stage {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl fmt::Display for Stage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
 }
 
 /// One completed span: a named stage of one request, with monotonic
@@ -98,8 +142,8 @@ pub struct SpanRecord {
     pub span: u64,
     /// Enclosing span's ID, or 0 for a root span.
     pub parent: u64,
-    /// Registered stage name (must appear in [`STAGE_NAMES`]).
-    pub stage: &'static str,
+    /// The stage this span timed.
+    pub stage: Stage,
     /// Start time, microseconds from the caller's monotonic origin.
     pub start_us: u64,
     /// Duration in microseconds.
@@ -131,8 +175,7 @@ struct Ring {
 /// a consistent snapshot with [`to_jsonl`](SpanLog::to_jsonl). ID
 /// allocation is lock-free; the ring itself is guarded by a mutex held
 /// only for the push or the snapshot copy. Capacity 0 disables retention
-/// (records are counted as dropped), which is how the span feature stays
-/// observably free when no sink is installed.
+/// (records are counted as dropped).
 #[derive(Debug)]
 pub struct SpanLog {
     capacity: usize,
@@ -193,16 +236,7 @@ impl SpanLog {
     }
 
     /// Appends a record, evicting the oldest when full.
-    ///
-    /// Debug builds assert the stage name is registered in
-    /// [`STAGE_NAMES`]; release builds record it regardless so a stale
-    /// binary never loses data.
     pub fn record(&self, record: SpanRecord) {
-        debug_assert!(
-            is_registered_stage(record.stage),
-            "span stage {:?} is not in hbc_probe::span::STAGE_NAMES",
-            record.stage
-        );
         let mut ring = ring_lock(&self.ring);
         if self.capacity == 0 {
             ring.dropped = ring.dropped.saturating_add(1);
@@ -254,12 +288,43 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stage_table_is_sorted_within_layers_and_valid() {
-        for stage in STAGE_NAMES {
-            assert!(crate::is_valid_probe_name(stage), "bad stage name {stage:?}");
-            assert!(is_registered_stage(stage));
+    fn stage_names_are_pinned_valid_and_round_trip() {
+        assert_eq!(
+            Stage::ALL.map(Stage::as_str),
+            [
+                "serve.accept",
+                "serve.parse",
+                "serve.queue_wait",
+                "serve.cache_lookup",
+                "serve.single_flight_wait",
+                "serve.simulate",
+                "serve.serialize",
+                "serve.write",
+                "cluster.route",
+                "cluster.forward",
+                "cluster.worker_execute",
+                "exec.steal",
+                "exec.run",
+                "exec.merge",
+                "sim.warm_up",
+                "sim.measured",
+                "figure.report",
+            ]
+        );
+        for stage in Stage::ALL {
+            assert!(crate::is_valid_probe_name(stage.as_str()), "bad stage name {stage}");
+            assert_eq!(Stage::from_name(stage.as_str()), Some(stage));
         }
-        assert!(!is_registered_stage("serve.bogus"));
+        assert_eq!(Stage::from_name("serve.bogus"), None);
+    }
+
+    #[test]
+    fn stages_order_by_name() {
+        let mut by_ord = Stage::ALL;
+        by_ord.sort();
+        let mut by_name = Stage::ALL.map(Stage::as_str);
+        by_name.sort();
+        assert_eq!(by_ord.map(Stage::as_str), by_name);
     }
 
     #[test]
@@ -294,7 +359,7 @@ mod tests {
                 request: 1,
                 span: i + 1,
                 parent: 0,
-                stage: "exec.run",
+                stage: Stage::ExecRun,
                 start_us: i,
                 dur_us: 1,
             });
@@ -312,7 +377,7 @@ mod tests {
             request: 1,
             span: 1,
             parent: 0,
-            stage: "serve.write",
+            stage: Stage::ServeWrite,
             start_us: 0,
             dur_us: 5,
         });
@@ -328,7 +393,7 @@ mod tests {
             request: 3,
             span: 7,
             parent: 2,
-            stage: "serve.simulate",
+            stage: Stage::ServeSimulate,
             start_us: 1500,
             dur_us: 2500,
         });
@@ -351,7 +416,7 @@ mod tests {
                             request: t + 1,
                             span: log.next_span_id(),
                             parent: 0,
-                            stage: "exec.run",
+                            stage: Stage::ExecRun,
                             start_us: i,
                             dur_us: 1,
                         });
@@ -361,20 +426,5 @@ mod tests {
         });
         assert_eq!(log.len(), 256);
         assert_eq!(log.dropped(), 0);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "not in hbc_probe::span::STAGE_NAMES")]
-    fn unregistered_stage_asserts_in_debug() {
-        let log = SpanLog::new(4);
-        log.record(SpanRecord {
-            request: 1,
-            span: 1,
-            parent: 0,
-            stage: "serve.not_a_stage",
-            start_us: 0,
-            dur_us: 0,
-        });
     }
 }

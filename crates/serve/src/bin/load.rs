@@ -292,7 +292,7 @@ fn smoke(opts: &Options) {
             .and_then(|o| o.get("stage"))
             .and_then(|s| s.as_str())
             .unwrap_or_else(|| fail(&format!("trace line has no stage: {line}")));
-        if !hbc_probe::is_registered_stage(stage) {
+        if hbc_probe::Stage::from_name(stage).is_none() {
             fail(&format!("trace carries unregistered stage {stage:?}"));
         }
         spans += 1;

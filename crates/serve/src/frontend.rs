@@ -37,6 +37,8 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use hbc_probe::Stage;
+
 use crate::http::{self, HttpError, Request};
 use crate::json::Json;
 use crate::lock;
@@ -283,7 +285,7 @@ fn accept_loop<B: Backend>(shared: &Arc<Shared<B>>, listener: &TcpListener) {
         queue.push_back(QueuedConn { stream, accepted: Instant::now(), request_id, queued_us });
         shared.metrics.queue_push();
         drop(queue);
-        shared.spans.record_at("serve.accept", request_id, 0, accept_start_us, queued_us);
+        shared.spans.record_at(Stage::ServeAccept, request_id, 0, accept_start_us, queued_us);
         shared.queue_cv.notify_one();
     }
 }
@@ -343,7 +345,7 @@ const SHARED_PATHS: &[&str] =
 fn handle_conn<B: Backend>(shared: &Shared<B>, conn: QueuedConn) {
     let QueuedConn { mut stream, accepted, request_id, queued_us } = conn;
     let spans = &shared.spans;
-    spans.record_at("serve.queue_wait", request_id, 0, queued_us, spans.now_us());
+    spans.record_at(Stage::ServeQueueWait, request_id, 0, queued_us, spans.now_us());
     let deadline = accepted + shared.request_timeout;
     let left = deadline.saturating_duration_since(Instant::now());
     let request = if left.is_zero() {
@@ -355,7 +357,7 @@ fn handle_conn<B: Backend>(shared: &Shared<B>, conn: QueuedConn) {
         let _ = stream.set_write_timeout(Some(left.min(Duration::from_secs(10))));
         let parse_start_us = spans.now_us();
         let parsed = http::read_request(&mut stream);
-        spans.record_at("serve.parse", request_id, 0, parse_start_us, spans.now_us());
+        spans.record_at(Stage::ServeParse, request_id, 0, parse_start_us, spans.now_us());
         match parsed {
             Ok(request) => Ok(request),
             // Nothing useful (or nobody) to answer: closed early or dead socket.
@@ -386,9 +388,9 @@ fn handle_conn<B: Backend>(shared: &Shared<B>, conn: QueuedConn) {
     let headers: Vec<(&str, &str)> = headers.iter().map(|(k, v)| (*k, v.as_str())).collect();
     let bytes = http::render_response(status, content_type, &headers, body.as_bytes());
     let write_start_us = spans.now_us();
-    spans.record_at("serve.serialize", request_id, 0, serialize_start_us, write_start_us);
+    spans.record_at(Stage::ServeSerialize, request_id, 0, serialize_start_us, write_start_us);
     let _ = stream.write_all(&bytes).and_then(|()| stream.flush());
-    spans.record_at("serve.write", request_id, 0, write_start_us, spans.now_us());
+    spans.record_at(Stage::ServeWrite, request_id, 0, write_start_us, spans.now_us());
     m.record_latency(u64::try_from(accepted.elapsed().as_micros()).unwrap_or(u64::MAX));
 }
 

@@ -36,7 +36,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use hbc_probe::{Histogram, ProbeRegistry};
+use hbc_probe::{Histogram, ProbeRegistry, Stage};
 
 use crate::lock;
 
@@ -151,7 +151,7 @@ impl Metrics {
         &self,
         prefix: &str,
         span_dropped: u64,
-        stages: &BTreeMap<&'static str, Histogram>,
+        stages: &BTreeMap<Stage, Histogram>,
         backend: impl FnOnce(&mut String),
     ) -> String {
         let mut out = String::new();
@@ -436,7 +436,7 @@ mod tests {
         let mut h = Histogram::default();
         h.record(500);
         h.record(900);
-        stages.insert("serve.parse", h);
+        stages.insert(Stage::ServeParse, h);
 
         let text = m.render_prometheus("serve", 2, &stages, |out| m.write_cache_families(out, 3));
         let samples = parse_prometheus(&text).expect("body parses");

@@ -19,6 +19,8 @@ use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+use hbc_probe::Stage;
+
 use crate::cache::{ResultCache, Tier};
 use crate::frontend::{
     Backend, Frontend, FrontendConfig, FrontendHandle, RunReply, Served, SpanCtx,
@@ -184,7 +186,13 @@ impl Lead {
         // The simulate span carries the leader's request ID; coalesced
         // followers share this one simulation, so their traces show a
         // single-flight wait instead.
-        spans.record_at("serve.simulate", self.request, self.parent, sim_start_us, spans.now_us());
+        spans.record_at(
+            Stage::ServeSimulate,
+            self.request,
+            self.parent,
+            sim_start_us,
+            spans.now_us(),
+        );
         let hash = &self.hash;
         let state = match result {
             Ok(body) => {
@@ -249,7 +257,7 @@ impl LocalBackend {
         let cached = local.cache.get(&hash, &canonical);
         let lookup_end_us = spans.now_us();
         spans.record_at(
-            "serve.cache_lookup",
+            Stage::ServeCacheLookup,
             trace.request,
             trace.parent,
             lookup_start_us,
@@ -310,7 +318,7 @@ impl Backend for LocalBackend {
             let reply = pending.wait(Some(deadline));
             let wait_end_us = spans.now_us();
             spans.record_at(
-                "serve.single_flight_wait",
+                Stage::ServeSingleFlightWait,
                 trace.request,
                 trace.parent,
                 wait_start_us,

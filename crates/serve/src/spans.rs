@@ -8,22 +8,24 @@
 //! `GET /trace` as JSON lines, and a per-stage duration histogram feeds
 //! the `serve_stage_duration_microseconds` summary in `GET /metrics`.
 //!
-//! Unlike the simulator's feature-gated `hbc_core::spans`, serve spans are
-//! always on: the service lives in wall-clock territory anyway, and one
-//! mutex push per stage is noise next to a socket write. The clock stays
+//! Unlike the simulator's `hbc_core::spans`, which records nothing until a
+//! sink is installed, serve spans are always on: the service lives in
+//! wall-clock territory anyway, and one mutex push per stage is noise next
+//! to a socket write. The clock stays
 //! out of `hbc-probe` (which is simulation-deterministic by contract);
 //! this module owns the `Instant` origin.
 //!
 //! # Example
 //!
 //! ```
+//! use hbc_probe::Stage;
 //! use hbc_serve::spans::ServeSpans;
 //!
 //! let spans = ServeSpans::new(64);
 //! let request = spans.begin_request();
 //! let t0 = spans.now_us();
 //! // ... do the stage's work ...
-//! spans.record_at("serve.parse", request, 0, t0, spans.now_us());
+//! spans.record_at(Stage::ServeParse, request, 0, t0, spans.now_us());
 //! assert!(spans.to_jsonl().contains("\"stage\":\"serve.parse\""));
 //! ```
 
@@ -31,7 +33,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use hbc_probe::{Histogram, SpanLog, SpanRecord};
+use hbc_probe::{Histogram, SpanLog, SpanRecord, Stage};
 
 use crate::lock;
 
@@ -43,7 +45,7 @@ use crate::lock;
 pub struct ServeSpans {
     log: SpanLog,
     origin: Instant,
-    stages: Mutex<BTreeMap<&'static str, Histogram>>,
+    stages: Mutex<BTreeMap<Stage, Histogram>>,
 }
 
 impl ServeSpans {
@@ -81,7 +83,7 @@ impl ServeSpans {
     /// so callers can nest children under it.
     pub fn record_at(
         &self,
-        stage: &'static str,
+        stage: Stage,
         request: u64,
         parent: u64,
         start_us: u64,
@@ -101,12 +103,10 @@ impl ServeSpans {
     }
 
     /// Records a completed span under a pre-allocated ID from
-    /// [`alloc_span`](Self::alloc_span). The stage literal is checked
-    /// against `STAGE_NAMES` exactly like [`record_at`](Self::record_at)
-    /// (both by the debug assert and by the `probe-coverage` lint).
+    /// [`alloc_span`](Self::alloc_span).
     pub fn record_linked(
         &self,
-        stage: &'static str,
+        stage: Stage,
         span: u64,
         request: u64,
         parent: u64,
@@ -125,7 +125,7 @@ impl ServeSpans {
     }
 
     /// A snapshot of the per-stage duration histograms.
-    pub fn stage_histograms(&self) -> BTreeMap<&'static str, Histogram> {
+    pub fn stage_histograms(&self) -> BTreeMap<Stage, Histogram> {
         lock(&self.stages).clone()
     }
 
@@ -144,8 +144,8 @@ mod tests {
         let spans = ServeSpans::new(16);
         let request = spans.begin_request();
         assert!(request > 0);
-        let parent = spans.record_at("serve.accept", request, 0, 5, 10);
-        let child = spans.record_at("serve.parse", request, parent, 10, 250);
+        let parent = spans.record_at(Stage::ServeAccept, request, 0, 5, 10);
+        let child = spans.record_at(Stage::ServeParse, request, parent, 10, 250);
         assert_ne!(parent, child);
 
         let records = spans.log().snapshot();
@@ -154,8 +154,8 @@ mod tests {
         assert_eq!(records[1].dur_us, 240);
 
         let stages = spans.stage_histograms();
-        assert_eq!(stages["serve.parse"].count(), 1);
-        assert_eq!(stages["serve.parse"].max(), 240);
+        assert_eq!(stages[&Stage::ServeParse].count(), 1);
+        assert_eq!(stages[&Stage::ServeParse].max(), 240);
     }
 
     #[test]
@@ -165,13 +165,13 @@ mod tests {
         // The forward-span pattern: allocate, ship the ID elsewhere as a
         // parent link, record when the exchange completes.
         let forward = spans.alloc_span();
-        spans.record_at("serve.simulate", request, forward, 20, 30);
-        spans.record_linked("cluster.forward", forward, request, 0, 10, 50);
+        spans.record_at(Stage::ServeSimulate, request, forward, 20, 30);
+        spans.record_linked(Stage::ClusterForward, forward, request, 0, 10, 50);
         let records = spans.log().snapshot();
         assert_eq!(records[0].parent, forward, "child linked before the parent records");
         assert_eq!(records[1].span, forward);
         assert_eq!(records[1].dur_us, 40);
-        assert_eq!(spans.stage_histograms()["cluster.forward"].count(), 1);
+        assert_eq!(spans.stage_histograms()[&Stage::ClusterForward].count(), 1);
     }
 
     #[test]
@@ -189,7 +189,7 @@ mod tests {
         let b = spans.now_us();
         assert!(b >= a);
         // A stale start timestamp must not underflow the duration.
-        spans.record_at("serve.write", 1, 0, 100, 40);
+        spans.record_at(Stage::ServeWrite, 1, 0, 100, 40);
         assert_eq!(spans.log().snapshot()[0].dur_us, 0);
     }
 }

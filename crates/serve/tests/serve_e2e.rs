@@ -321,7 +321,7 @@ fn trace_replays_the_request_lifecycle_as_jsonl() {
         let record = Json::parse(line).expect("every trace line is a JSON object");
         let obj = record.as_obj().expect("object");
         let stage = obj["stage"].as_str().expect("stage").to_string();
-        assert!(hbc_probe::is_registered_stage(&stage), "unregistered stage {stage:?}");
+        assert!(hbc_probe::Stage::from_name(&stage).is_some(), "unregistered stage {stage:?}");
         assert!(obj["span"].as_u64().expect("span id") > 0);
         requests.insert(obj["request"].as_u64().expect("request id"));
         stages.insert(stage);

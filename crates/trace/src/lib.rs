@@ -19,7 +19,7 @@
 //!   across processes, but durations do). The stage with the most self
 //!   time dominated the request's wall clock.
 //! * **Aggregates** — per-stage duration quantiles (p50/p95/p99) across
-//!   every span, via [`hbc_probe::Histogram`].
+//!   every span, exact by nearest rank over the sorted durations.
 //! * **Anomalies** — *orphan* spans whose parent ID appears nowhere in
 //!   their request (a broken link or an evicted parent), *failover
 //!   retries* (a request with two or more `cluster.forward` spans), and
@@ -42,7 +42,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hbc_probe::Histogram;
 use hbc_serve::json::Json;
 
 /// One span line from a trace export (field-for-field
@@ -167,7 +166,8 @@ pub struct StageStats {
     pub stage: String,
     /// Spans recorded under it.
     pub count: u64,
-    /// Duration quantiles, in microseconds.
+    /// Duration quantiles, in microseconds: exact nearest-rank values,
+    /// each one of the stage's recorded durations.
     pub p50_us: u64,
     /// 95th percentile.
     pub p95_us: u64,
@@ -284,19 +284,22 @@ pub fn analyze(set: &TraceSet) -> Report {
         });
     }
 
-    let mut by_stage: BTreeMap<&str, Histogram> = BTreeMap::new();
+    let mut by_stage: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
     for span in &set.spans {
-        by_stage.entry(span.stage.as_str()).or_default().record(span.dur_us);
+        by_stage.entry(span.stage.as_str()).or_default().push(span.dur_us);
     }
     let stages = by_stage
         .into_iter()
-        .map(|(stage, h)| StageStats {
-            stage: stage.to_string(),
-            count: h.count(),
-            p50_us: h.quantile(0.5),
-            p95_us: h.quantile(0.95),
-            p99_us: h.quantile(0.99),
-            total_us: h.sum(),
+        .map(|(stage, mut durs)| {
+            durs.sort_unstable();
+            StageStats {
+                stage: stage.to_string(),
+                count: durs.len() as u64,
+                p50_us: nearest_rank(&durs, 50),
+                p95_us: nearest_rank(&durs, 95),
+                p99_us: nearest_rank(&durs, 99),
+                total_us: durs.iter().fold(0u64, |sum, d| sum.saturating_add(*d)),
+            }
         })
         .collect();
 
@@ -313,6 +316,14 @@ pub fn analyze(set: &TraceSet) -> Report {
         sources: set.sources.clone(),
         span_count: set.spans.len(),
     }
+}
+
+/// The `pct`-th percentile of ascending `sorted` by nearest rank: the
+/// smallest value with at least `pct`% of the values at or below it.
+/// `sorted` is never empty here: a stage exists only with a span under it.
+fn nearest_rank(sorted: &[u64], pct: usize) -> u64 {
+    let rank = (sorted.len() * pct).div_ceil(100).max(1);
+    sorted[rank - 1]
 }
 
 /// How many per-request lines the text report prints before eliding.
@@ -568,6 +579,19 @@ mod tests {
         let s = &report.stages[0];
         assert_eq!((s.stage.as_str(), s.count, s.total_us), ("serve.parse", 3, 600));
         assert!(s.p50_us >= 100 && s.p99_us >= s.p50_us);
+    }
+
+    #[test]
+    fn stage_quantiles_are_exact_nearest_rank() {
+        let mut jsonl = String::new();
+        // Durations 1..=100, recorded out of order.
+        for (i, dur) in (1..=100u64).rev().enumerate() {
+            jsonl.push_str(&line(i as u64 + 1, 200 + i as u64, 0, "sim.measured", 0, dur));
+        }
+        let report = analyze(&TraceSet::parse_jsonl(&jsonl).unwrap());
+        let s = &report.stages[0];
+        assert_eq!((s.count, s.p50_us, s.p95_us, s.p99_us), (100, 50, 95, 99));
+        assert_eq!(s.total_us, 5050);
     }
 
     #[test]
